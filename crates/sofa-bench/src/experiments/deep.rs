@@ -24,11 +24,11 @@
 //! hardware.
 //!
 //! The experiment also exercises the online half of deep-tree serving:
-//! an insert burst with auto-repack disabled (stale lanes answered through
-//! the parent-interval fallback), the `fallback_leaf_pct` health stat
-//! (with a warn-level note past 50%), and an incremental repack restoring
-//! the packed layout. Exactness versus the flat brute force is asserted at
-//! every stage; the `deep_exactness_deviations` metric must stay 0.
+//! an insert burst through the append-only delta, reporting the delta
+//! rows left over, the fold count and the time per fold (each fold
+//! regrows and repacks the whole forest). Exactness versus the flat
+//! brute force is asserted with the delta beside the tree and after the
+//! final fold; the `deep_exactness_deviations` metrics must stay 0.
 
 use super::Suite;
 use crate::report::{f1, f2, f3, Report};
@@ -88,8 +88,8 @@ fn time_stream_min(
 }
 
 /// `ext-deep`: level-block collect versus the leaf-only sweep on a
-/// concentrated (deep-tree) known-item workload, plus the stale-lane /
-/// incremental repack serving cycle.
+/// concentrated (deep-tree) known-item workload, plus the insert-delta /
+/// fold serving cycle.
 pub fn ext_deep(suite: &Suite) -> Report {
     let mut r = Report::new("ext-deep", "deep-tree collect: level blocks vs leaf-only sweep");
     let mut spec = suite
@@ -314,47 +314,65 @@ pub fn ext_deep(suite: &Suite) -> Report {
         f2(fringe_level as f64 / nqf),
     ));
 
-    // --- Online half: insert burst -> stale lanes -> incremental repack.
-    // Auto-repack is disabled so the fallback share is observable (the
-    // `fallback_leaf_pct` health stat this PR adds).
-    let split = (count * 4 / 5) * n;
+    // --- Online half: an insert burst through the append-only delta.
+    // Every `ONLINE_LEAF`-th insert fills the delta and folds it into a
+    // regrown, packed tree. The burst is capped at `ONLINE_FOLDS` folds
+    // (each regrows the whole forest) and ends half-way through a delta,
+    // so both serving states — delta beside the tree, and freshly folded —
+    // are checked against the flat baseline over the same rows.
+    const ONLINE_LEAF: usize = 8;
+    const ONLINE_FOLDS: usize = 32;
+    let split = count * 4 / 5;
+    let burst = (count - split).min(ONLINE_FOLDS * ONLINE_LEAF + ONLINE_LEAF / 2);
     let mut online = SofaIndex::builder()
         .threads(1)
-        .leaf_capacity(8)
+        .leaf_capacity(ONLINE_LEAF)
         .word_len(12)
         .sample_ratio(suite.cfg.sample_ratio)
-        .auto_repack_pct(None)
-        .build_sofa(&dataset.data()[..split], n)
+        .build_sofa(&dataset.data()[..split * n], n)
         .expect("SOFA build");
-    online.insert_all(&dataset.data()[split..]).expect("insert");
-    let stale = online.stats();
-    r.metric("deep_fallback_leaf_pct_after_burst", stale.fallback_leaf_pct);
-    if stale.fallback_leaf_pct > 50.0 {
-        r.warn(&format!(
-            "{}% of leaves are on the per-row fallback path after the \
-             insert burst (auto-repack disabled): serving has silently \
-             degraded to scalar refinement — run repack (incremental) or \
-             re-enable auto_repack_pct.",
-            f1(stale.fallback_leaf_pct),
-        ));
+    let mut insert_ms = Vec::with_capacity(burst);
+    for row in dataset.data()[split * n..(split + burst) * n].chunks(n) {
+        let (inserted, secs) = crate::timed(|| online.insert(row));
+        inserted.expect("insert");
+        insert_ms.push(crate::ms(secs));
     }
-    let stale_dev =
-        exactness_deviations(|q| online.nn(q).expect("query").dist_sq, &flat, &queries, n);
-    online.repack_incremental();
-    let repacked_dev =
-        exactness_deviations(|q| online.nn(q).expect("query").dist_sq, &flat, &queries, n);
-    assert_eq!(stale_dev + repacked_dev, 0, "stale/repacked serving must stay exact");
-    r.metric("deep_exactness_deviations_online", (stale_dev + repacked_dev) as f64);
-    let after = online.stats();
-    r.metric("deep_fallback_leaf_pct_after_repack", after.fallback_leaf_pct);
+    let grown = online.stats();
+    // The insert that fills the delta is the one that folds.
+    let mut fold_ms = Vec::new();
+    let mut delta_us = Vec::new();
+    for (i, &ms) in insert_ms.iter().enumerate() {
+        if (i + 1) % ONLINE_LEAF == 0 {
+            fold_ms.push(ms);
+        } else {
+            delta_us.push(ms * 1e3);
+        }
+    }
+    assert_eq!(grown.folds as usize, fold_ms.len(), "one fold per filled delta");
+    r.metric("deep_delta_rows_after_burst", grown.delta_rows as f64);
+    r.metric("deep_folds", grown.folds as f64);
+    r.metric("deep_fold_mean_ms", mean(&fold_ms));
+    r.metric("deep_fold_max_ms", fold_ms.iter().copied().fold(0.0, f64::max));
+    r.metric("deep_delta_insert_p50_us", percentile(&delta_us, 50.0));
+    let flat_online = FlatL2::new(&dataset.data()[..(split + burst) * n], n, 1);
+    let delta_dev =
+        exactness_deviations(|q| online.nn(q).expect("query").dist_sq, &flat_online, &queries, n);
+    online.repack_leaves();
+    let folded_dev =
+        exactness_deviations(|q| online.nn(q).expect("query").dist_sq, &flat_online, &queries, n);
+    assert_eq!(delta_dev + folded_dev, 0, "delta and folded serving must stay exact");
+    r.metric("deep_exactness_deviations_online", (delta_dev + folded_dev) as f64);
     r.para(&format!(
-        "Insert burst (last 20% of the stream, auto-repack off) left \
-         {}% of leaves on the per-row fallback path; queries stayed exact \
-         through the stale-lane parent-interval bounds, and one \
-         incremental repack (only stale subtrees rebuild their blocks) \
-         brought the share back to {}%.",
-        f1(stale.fallback_leaf_pct),
-        f1(after.fallback_leaf_pct),
+        "Insert burst ({burst} rows into a {ONLINE_LEAF}-row delta over a \
+         {split}-row tree): {} folds at {} ms mean / {} ms max each, delta \
+         inserts at {} us p50, {} rows left in the delta. Queries stayed \
+         exact with the delta scanned beside the tree and again after \
+         `repack_leaves` folded it.",
+        grown.folds,
+        f3(mean(&fold_ms)),
+        f3(fold_ms.iter().copied().fold(0.0, f64::max)),
+        f1(percentile(&delta_us, 50.0)),
+        grown.delta_rows,
     ));
 
     // --- MESSI A/B arm on the PAA-shaped family (PR-5 deferral).

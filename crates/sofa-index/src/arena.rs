@@ -4,10 +4,13 @@
 //! are either owned (`Vec`, the build path) or borrowed straight out of a
 //! memory-mapped snapshot (`Mapped`, the [`crate::snapshot`] open path) —
 //! the FAISS-style "attach, don't deserialize" layout. Readers never see
-//! the difference: [`Arena`] derefs to a slice. Writers (online inserts,
-//! repacking) call [`Arena::make_mut`], which promotes a mapped arena to
-//! an owned copy once — copy-on-write at the whole-arena granularity, so
-//! a purely-read-only serving replica never pays for the copy.
+//! the difference: [`Arena`] derefs to a slice. A mapped arena is never
+//! written: inserts into an opened index collect in a side buffer, and
+//! the first delta fold [`Arena::promote`]s the arena to an owned copy
+//! with those rows at its tail — copy-on-write at the whole-arena
+//! granularity, so a serving replica that never folds never pays for the
+//! copy. An owned arena takes inserts at its tail directly, and the leaf
+//! repack permutes rows in place through [`Arena::make_mut`].
 
 use sofa_mmap::{cast_slice, Mmap, Pod};
 use std::sync::Arc;
@@ -73,6 +76,22 @@ impl<T: Pod> Arena<T> {
         }
     }
 
+    /// Turns a mapped arena into an owned one holding the mapped elements
+    /// followed by `tail`. The result is built inside `tail`'s own buffer
+    /// (grown once, then rotated into place), so the copy allocates no
+    /// second buffer and frees none. An owned arena is left as it is;
+    /// `tail` must then be empty.
+    pub(crate) fn promote(&mut self, mut tail: Vec<T>) {
+        if let Arena::Mapped { .. } = self {
+            let moved = tail.len();
+            tail.extend_from_slice(self.as_slice());
+            tail.rotate_left(moved);
+            *self = Arena::Owned(tail);
+        } else {
+            debug_assert!(tail.is_empty(), "an owned arena holds its tail already");
+        }
+    }
+
     /// Whether the arena still serves straight from a mapped snapshot.
     pub(crate) fn is_mapped(&self) -> bool {
         matches!(self, Arena::Mapped { .. })
@@ -105,6 +124,8 @@ mod tests {
         assert_eq!(&a[..], &[1.0, 2.0, 3.0]);
         a.make_mut().push(4.0);
         assert_eq!(a.len(), 4);
+        a.promote(Vec::new());
+        assert_eq!(&a[..], &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

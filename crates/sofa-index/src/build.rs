@@ -12,7 +12,9 @@
 //!
 //! All parallelism executes on a persistent [`ExecPool`] — one created
 //! for the index (sized by `IndexConfig::num_threads`) or shared across
-//! indexes via [`Index::build_with_pool`]. Ingest is zero-copy:
+//! indexes via [`Index::build_with_pool`]. The insert delta's fold
+//! regrows the forest through the same code ([`Index::grow_forest`]),
+//! from the stored words. Ingest is zero-copy:
 //! [`Index::build_owned`] takes ownership of the buffer and normalizes it
 //! in place, so even the borrowing [`Index::build`] performs exactly one
 //! copy of the dataset.
@@ -126,37 +128,9 @@ impl<S: Summarization> Index<S> {
         });
         let transform_secs = t0.elapsed().as_secs_f64();
 
-        // --- Phase 2: group rows by root key.
+        // --- Phases 2-4: the forest, grown on an index whose storage
+        // starts in row order (identity slot maps).
         let t1 = Instant::now();
-        let mut groups: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (row, &key) in keys.iter().enumerate() {
-            // Lossless: row < n_series, checked against u32::MAX above.
-            groups.entry(key).or_default().push(row as u32);
-        }
-        let groups: Vec<(u64, Vec<u32>)> = groups.into_iter().collect();
-
-        // --- Phase 3: build subtrees in parallel (Figure 7 "Indexing").
-        // Pool lanes claim root-child groups off an atomic counter; each
-        // subtree is independent, so there is no contention beyond the
-        // counter and the result vector.
-        let next_group = AtomicUsize::new(0);
-        let done = parking_lot::Mutex::new(Vec::with_capacity(groups.len()));
-        pool.broadcast(|_| loop {
-            let g = next_group.fetch_add(1, Ordering::Relaxed);
-            if g >= groups.len() {
-                break;
-            }
-            let (key, rows) = &groups[g];
-            let subtree = build_subtree(*key, rows.clone(), &words, l, symbol_bits, &config);
-            done.lock().push(subtree);
-        });
-        let mut subtrees = done.into_inner();
-        subtrees.sort_by_key(|s| s.key);
-
-        // --- Phase 4: pack leaves. Storage starts in row order (identity
-        // slot maps); `repack_leaves` permutes it into leaf-contiguous
-        // order and builds the per-leaf SoA word blocks plus the
-        // per-subtree collect blocks.
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
         let quant_enabled = std::sync::atomic::AtomicBool::new(config.quant_refine);
         let mut index = Index {
@@ -167,7 +141,7 @@ impl<S: Summarization> Index<S> {
             words: words.into(),
             row_to_slot: (0..n_series as u32).collect(),
             slot_to_row: (0..n_series as u32).collect(),
-            subtrees,
+            subtrees: Vec::new(),
             series_len: n,
             word_len: l,
             build_breakdown: (0.0, 0.0),
@@ -176,142 +150,106 @@ impl<S: Summarization> Index<S> {
             quant_grid: None,
             quant_enabled,
             scratches: parking_lot::Mutex::new(Vec::with_capacity(lanes + 2)),
-            unpacked_leaves: 0,
-            total_leaves: 0,
+            delta: crate::insert::Delta::default(),
         };
-        index.repack_leaves();
+        index.grow_forest(&keys);
         let tree_secs = t1.elapsed().as_secs_f64();
         index.build_breakdown = (transform_secs, tree_secs);
         Ok(index)
     }
 
-    /// Rebuilds the leaf-contiguous storage layout: permutes the series
-    /// and word arenas so every leaf's candidates occupy one contiguous
-    /// run of storage slots (in leaf order), rebuilds each leaf's
-    /// structure-of-arrays [`sofa_summaries::WordBlock`] for the batched
-    /// lower-bound sweep, and rebuilds each subtree's
-    /// [`crate::CollectBlock`] so the collect phase prices leaves 8-wide
-    /// again.
+    /// Grows the subtree forest over every row in storage — the one
+    /// tree construction shared by the bulk build and the delta fold.
+    /// `keys[slot]` is the root key of the word at storage `slot`.
     ///
-    /// The bulk build calls this automatically. Online inserts instead
-    /// trigger the cheaper [`Index::repack_incremental`] (when
-    /// [`crate::IndexConfig::auto_repack_pct`] is set, the default);
-    /// call this full variant to force every block to rebuild — e.g.
-    /// after changing assumptions about the stored layout. The
-    /// permutation is applied in place (cycle-walking with one temporary
-    /// row), so no second copy of the dataset is ever held.
-    pub fn repack_leaves(&mut self) {
-        self.repack_core(true);
-    }
-
-    /// Incremental repack: restores the packed layout like
-    /// [`Index::repack_leaves`], but only subtrees with stale lanes
-    /// (leaves touched by online inserts or splits) rebuild their word
-    /// and collect blocks. Untouched subtrees reuse their existing blocks
-    /// — their arena runs are either left in place entirely or shifted by
-    /// a constant (when an earlier subtree grew), which only updates each
-    /// pack's start slot. This is what the auto-repack trigger runs.
-    ///
-    /// Cost model: every part of the repack scales with the *touched*
-    /// portion of the arena. Subtrees are stored in key order, so all
-    /// moved rows live at or above the first stale subtree's base slot:
-    /// the slot assignment, the permutation's cycle scan and the data
-    /// movement all run over that suffix only, and the clean prefix is
-    /// never read or written.
-    pub fn repack_incremental(&mut self) {
-        self.repack_core(false);
-    }
-
-    /// The one repack implementation (see [`Index::repack_leaves`] /
-    /// [`Index::repack_incremental`]): `full` rebuilds every subtree's
-    /// blocks, `!full` only the stale ones.
-    fn repack_core(&mut self, full: bool) {
-        let n = self.series_len;
+    /// Rows are grouped by root key, the groups are built into subtrees
+    /// on the pool (each subtree is independent, so lanes claim groups
+    /// off an atomic counter and never contend), and the leaves are then
+    /// packed ([`Index::pack_leaves`]). Any previous forest is dropped
+    /// first, so a fold never holds two forests.
+    pub(crate) fn grow_forest(&mut self, keys: &[u64]) {
+        self.subtrees = Vec::new();
         let l = self.word_len;
-        let total = self.slot_to_row.len();
-        // Everything before the first stale subtree is untouched: subtrees
-        // sit in key order, size changes always mark a subtree stale
-        // (inserts, splits, and brand-new subtrees all do), so the clean
-        // prefix keeps its exact cumulative bases — and every moved or
-        // appended row's current slot lies at or above `scan_lo`, the
-        // first stale subtree's base. The slot maps, the permutation and
-        // the data movement below all operate on that suffix only.
-        let first_stale = if full {
-            0
-        } else {
-            self.subtrees.iter().position(|st| st.stale_leaves > 0).unwrap_or(self.subtrees.len())
-        };
-        // Slot assignment: leaves in (subtree, arena) order, rows in leaf
-        // order. `bases[s]` is the first slot of subtree `s`;
-        // `old_bases[s]` is where its run currently starts (the first
-        // leaf's pack), used to shift clean subtrees without rebuilding.
-        let mut suffix_rows: Vec<u32> = Vec::new();
-        let mut bases: Vec<usize> = Vec::with_capacity(self.subtrees.len());
-        let mut old_bases: Vec<Option<u32>> = Vec::with_capacity(self.subtrees.len());
-        let mut leaves = 0usize;
-        let mut cursor = 0usize;
-        let mut scan_lo = total;
-        for (si, st) in self.subtrees.iter().enumerate() {
-            bases.push(cursor);
-            if si == first_stale {
-                scan_lo = cursor;
+        let symbol_bits = self.summarization.symbol_bits();
+        let leaf_capacity = self.config.leaf_capacity;
+        // Groups list their slots in ascending row order, and the splits
+        // keep that order, so every leaf holds its rows ascending: exact
+        // duplicates (which share a leaf) refine lowest row id first and
+        // tie-break like a brute-force scan, fold after fold.
+        let mut groups: HashMap<u64, Vec<u32>> = HashMap::new();
+        for &slot in &self.row_to_slot {
+            groups.entry(keys[slot as usize]).or_default().push(slot);
+        }
+        let groups: Vec<(u64, Vec<u32>)> = groups.into_iter().collect();
+        let next_group = AtomicUsize::new(0);
+        let done = parking_lot::Mutex::new(Vec::with_capacity(groups.len()));
+        let (words, slot_to_row) = (&self.words[..], &self.slot_to_row);
+        self.pool.broadcast(|_| loop {
+            let g = next_group.fetch_add(1, Ordering::Relaxed);
+            if g >= groups.len() {
+                break;
             }
-            let mut first_pack = None;
-            for node in &st.nodes {
-                if let NodeKind::Leaf { rows, pack } = &node.kind {
-                    if first_pack.is_none() {
-                        first_pack = pack.as_ref().map(|p| p.start);
+            let (key, slots) = &groups[g];
+            let mut subtree =
+                build_subtree(*key, slots.clone(), words, l, symbol_bits, leaf_capacity);
+            // Leaves were built over storage slots; they hold row ids.
+            for node in &mut subtree.nodes {
+                if let NodeKind::Leaf { rows, .. } = &mut node.kind {
+                    for r in rows.iter_mut() {
+                        *r = slot_to_row[*r as usize];
                     }
-                    if si >= first_stale {
-                        suffix_rows.extend_from_slice(rows);
-                    }
-                    cursor += rows.len();
-                    leaves += 1;
                 }
             }
-            old_bases.push(first_pack);
-        }
-        self.total_leaves = leaves;
-        self.unpacked_leaves = 0;
-        debug_assert_eq!(cursor, total);
-        debug_assert_eq!(suffix_rows.len(), total - scan_lo);
-        for (i, &row) in suffix_rows.iter().enumerate() {
-            debug_assert!(
-                self.row_to_slot[row as usize] as usize >= scan_lo,
-                "row {row} of a stale subtree sits below the clean prefix"
-            );
-            // Lossless: slots are bounded by the row count, which the
-            // build rejected past u32::MAX.
-            self.row_to_slot[row as usize] = (scan_lo + i) as u32;
-        }
-        // In-place permutation of the suffix of both arenas (in
-        // suffix-local slot coordinates): content currently at storage
-        // slot `scan_lo + i` moves to `scan_lo + dest[i]`. Fixed points
-        // (runs that keep their slots) are skipped without touching the
-        // data; the clean prefix is not even scanned.
-        let dest: Vec<u32> = self.slot_to_row[scan_lo..]
-            .iter()
-            .map(|&row| self.row_to_slot[row as usize] - scan_lo as u32)
-            .collect();
-        if scan_lo < total {
-            // `make_mut` promotes mapped (snapshot-opened) arenas to owned
-            // copies; guarded so a clean repack of a mapped index stays
-            // zero-copy.
-            let data = self.data.make_mut();
-            let words = self.words.make_mut();
-            permute_rows(&mut data[scan_lo * n..], &mut words[scan_lo * l..], n, l, &dest);
-        }
-        self.slot_to_row[scan_lo..].copy_from_slice(&suffix_rows);
+            done.lock().push(subtree);
+        });
+        let mut subtrees = done.into_inner();
+        subtrees.sort_by_key(|s| s.key);
+        self.subtrees = subtrees;
+        self.pack_leaves();
+    }
 
-        // Word blocks and collect blocks, one subtree batch per pool lane
-        // (subtrees are disjoint, so `chunks_mut` hands each lane its own
-        // slice).
+    /// Packs every leaf: permutes the series and word arenas so every
+    /// leaf's candidates occupy one contiguous run of storage slots (in
+    /// leaf order), builds each leaf's structure-of-arrays
+    /// [`sofa_summaries::WordBlock`] for the batched lower-bound sweep
+    /// (plus its quantized codes when the tier is on), and builds each
+    /// subtree's [`crate::CollectBlock`] so the collect phase prices
+    /// leaves 8-wide. The permutation is applied in place
+    /// (cycle-walking with one temporary row), so no second copy of the
+    /// dataset is ever held.
+    fn pack_leaves(&mut self) {
+        let n = self.series_len;
+        let l = self.word_len;
+        // Slot assignment: leaves in (subtree, arena) order, rows in leaf
+        // order. `bases[s]` is the first slot of subtree `s`.
+        let mut order: Vec<u32> = Vec::with_capacity(self.slot_to_row.len());
+        let mut bases: Vec<usize> = Vec::with_capacity(self.subtrees.len());
+        for st in &self.subtrees {
+            bases.push(order.len());
+            for node in &st.nodes {
+                if let NodeKind::Leaf { rows, .. } = &node.kind {
+                    order.extend_from_slice(rows);
+                }
+            }
+        }
+        debug_assert_eq!(order.len(), self.slot_to_row.len());
+        for (slot, &row) in order.iter().enumerate() {
+            // Lossless: slots are bounded by the row count.
+            self.row_to_slot[row as usize] = slot as u32;
+        }
+        // Content currently at storage slot `s` moves to `dest[s]`.
+        let dest: Vec<u32> =
+            self.slot_to_row.iter().map(|&row| self.row_to_slot[row as usize]).collect();
+        permute_rows(self.data.make_mut(), self.words.make_mut(), n, l, &dest);
+        self.slot_to_row = order;
+
         let quant_on = self.config.quant_refine && n <= crate::node::QUANT_REFINE_MAX_LEN && n > 0;
         if quant_on && self.quant_grid.is_none() {
             // Train the index-wide quantizer once, on a strided row sample
             // (value ranges converge long before the full arena is seen;
             // rows outside the sampled ranges clamp and stay sound). The
-            // grid then serves every leaf encode and every query.
+            // grid then serves every leaf encode and every query, and
+            // every later fold keeps it.
             const GRID_SAMPLE_MAX_ROWS: usize = 1 << 16;
             let total_rows = self.data.len() / n;
             self.quant_grid = if total_rows <= GRID_SAMPLE_MAX_ROWS {
@@ -325,115 +263,50 @@ impl<S: Summarization> Index<S> {
                 sofa_summaries::QuantGrid::train(&sample, n)
             };
         }
-        let words = &self.words;
-        let data = &self.data;
-        let quant_grid = if quant_on { self.quant_grid.as_ref() } else { None };
+        // Word blocks and collect blocks, then the quant codes, all built
+        // on the calling thread. Every fold frees and rebuilds these
+        // blocks, and the allocator hands each thread its own arena:
+        // blocks built on several pool lanes strand the freed blocks of
+        // one fold in arenas the next fold does not draw from, which
+        // varied peak memory by tens of megabytes from run to run.
         let summarization: &dyn Summarization = &self.summarization;
         let collect_levels = self.config.collect_levels;
-        let per_lane = self.subtrees.len().div_ceil(self.pool.threads()).max(1);
-        self.pool.run(|scope| {
-            for ((chunk, base_chunk), old_base_chunk) in self
-                .subtrees
-                .chunks_mut(per_lane)
-                .zip(bases.chunks(per_lane))
-                .zip(old_bases.chunks(per_lane))
-            {
-                scope.spawn(move || {
-                    let mut rebuilt = vec![false; chunk.len()];
-                    for ((i, (st, &base)), &old_base) in chunk
-                        .iter_mut()
-                        .zip(base_chunk.iter())
-                        .enumerate()
-                        .zip(old_base_chunk.iter())
-                    {
-                        if !full && st.stale_leaves == 0 {
-                            if let Some(old) = old_base {
-                                // Clean subtree: every leaf is packed and
-                                // no label changed since its blocks were
-                                // built, so the word/collect blocks are
-                                // reused verbatim. Its contiguous run may
-                                // have shifted as a whole (an earlier
-                                // subtree grew); only the start slots
-                                // need the delta.
-                                let delta = base as i64 - i64::from(old);
-                                if delta != 0 {
-                                    for node in st.nodes.iter_mut() {
-                                        if let NodeKind::Leaf { pack: Some(pack), .. } =
-                                            &mut node.kind
-                                        {
-                                            // Lossless: the shifted start is
-                                            // this run's new base slot, a
-                                            // valid slot index < u32::MAX.
-                                            pack.start = (i64::from(pack.start) + delta) as u32;
-                                        }
-                                    }
-                                }
-                                continue;
-                            }
-                        }
-                        rebuilt[i] = true;
-                        let mut next = base;
-                        for node in st.nodes.iter_mut() {
-                            if let NodeKind::Leaf { rows, pack } = &mut node.kind {
-                                let start = next;
-                                next += rows.len();
-                                let block = sofa_summaries::WordBlock::build(
-                                    summarization,
-                                    &words[start * l..next * l],
-                                );
-                                // The quant codes are built in a second
-                                // pass below: a leaf's codes are ~4x its
-                                // word block, so allocating them here
-                                // would interleave the word-sweep stream
-                                // (every query walks consecutive leaves'
-                                // word blocks) with cold code pages.
-                                // Lossless: start < n_series <= u32::MAX.
-                                *pack = Some(crate::node::LeafPack {
-                                    start: start as u32,
-                                    block,
-                                    quant: None,
-                                });
-                            }
-                        }
-                        // Wide flat forests (thousands of single-leaf
-                        // subtrees) never read a collect block — the
-                        // query path prices those roots with the RootLbd
-                        // XOR gate alone — so building one would only
-                        // cost memory and scan locality.
-                        st.collect = if st.nodes.len() > 1 {
-                            Some(crate::node::CollectBlock::build(
-                                summarization,
-                                st,
-                                collect_levels,
-                            ))
-                        } else {
-                            None
-                        };
-                        st.stale_leaves = 0;
-                    }
-                    if let Some(grid) = quant_grid {
-                        // Deferred quant pass: only now that every rebuilt
-                        // leaf's word/collect blocks sit contiguously does
-                        // the tier allocate its (much larger) code blocks.
-                        for (st, &was_rebuilt) in chunk.iter_mut().zip(rebuilt.iter()) {
-                            if !was_rebuilt {
-                                continue;
-                            }
-                            for node in st.nodes.iter_mut() {
-                                if let NodeKind::Leaf { rows, pack: Some(pack) } = &mut node.kind {
-                                    let start = pack.start as usize;
-                                    pack.quant = sofa_summaries::QuantBlock::build(
-                                        grid,
-                                        &data[start * n..(start + rows.len()) * n],
-                                        n,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                });
+        for (st, &base) in self.subtrees.iter_mut().zip(&bases) {
+            let mut next = base;
+            for node in st.nodes.iter_mut() {
+                if let NodeKind::Leaf { rows, pack } = &mut node.kind {
+                    let start = next;
+                    next += rows.len();
+                    let block = sofa_summaries::WordBlock::build(
+                        summarization,
+                        &self.words[start * l..next * l],
+                    );
+                    // Lossless: start < n_series <= u32::MAX.
+                    *pack = Some(crate::node::LeafPack { start: start as u32, block, quant: None });
+                }
             }
-        });
+            // Wide flat forests (thousands of single-leaf subtrees) never
+            // read a collect block — the query path prices those roots with
+            // the RootLbd XOR gate alone — so building one would only cost
+            // memory and scan locality.
+            st.collect = (st.nodes.len() > 1)
+                .then(|| crate::node::CollectBlock::build(summarization, st, collect_levels));
+        }
+        // Deferred quant pass: a leaf's codes are ~4x its word block, so
+        // allocating them above would interleave the word-sweep stream
+        // (every query walks consecutive leaves' word blocks) with cold
+        // code pages.
+        let Some(grid) = self.quant_grid.as_ref().filter(|_| quant_on) else { return };
+        for node in self.subtrees.iter_mut().flat_map(|st| st.nodes.iter_mut()) {
+            if let NodeKind::Leaf { rows, pack: Some(pack) } = &mut node.kind {
+                let start = pack.start as usize;
+                pack.quant = sofa_summaries::QuantBlock::build(
+                    grid,
+                    &self.data[start * n..(start + rows.len()) * n],
+                    n,
+                );
+            }
+        }
     }
 
     /// The subtree forest (read-only).
@@ -483,23 +356,24 @@ fn permute_rows(data: &mut [f32], words: &mut [u8], n: usize, l: usize, dest: &[
     }
 }
 
-/// Builds one subtree over `rows`, whose words all share root key `key`.
+/// Builds one subtree over `rows` (indexes into `words`), whose words all
+/// share root key `key`.
 fn build_subtree(
     key: u64,
     rows: Vec<u32>,
     words: &[u8],
     l: usize,
     symbol_bits: u8,
-    config: &IndexConfig,
+    leaf_capacity: usize,
 ) -> Subtree {
     // Root-child label: one bit per position, taken from the key.
     let prefixes: Vec<u8> = (0..l).map(|j| ((key >> j) & 1) as u8).collect();
     let bits = vec![1u8; l];
     let mut nodes = Vec::new();
-    build_node(rows, prefixes, bits, &mut nodes, words, l, symbol_bits, config.leaf_capacity);
-    // The collect block is attached by `repack_leaves` (phase 4), which
-    // runs right after the subtrees are assembled.
-    Subtree { key, nodes, collect: None, stale_leaves: 0 }
+    build_node(rows, prefixes, bits, &mut nodes, words, l, symbol_bits, leaf_capacity);
+    // The collect block is attached by `pack_leaves`, which runs right
+    // after the subtrees are assembled.
+    Subtree { key, nodes, collect: None }
 }
 
 /// Recursively materializes the node for `rows`, returning its arena id.
@@ -785,26 +659,23 @@ mod tests {
     }
 
     #[test]
-    fn incremental_repack_restores_packing_and_exactness() {
+    fn fold_restores_packing_and_exactness() {
         let n = 64;
         let data = dataset(700, n);
         let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
-        let mut idx = Index::build(
-            sax,
-            &data[..400 * n],
-            IndexConfig::with_threads(2).leaf_capacity(12).auto_repack_pct(None),
-        )
-        .expect("build");
+        let mut idx =
+            Index::build(sax, &data[..400 * n], IndexConfig::with_threads(2).leaf_capacity(12))
+                .expect("build");
+        let grid = idx.quant_grid.clone().expect("quant grid");
+        // 300 inserts into a 12-row delta: 25 folds, nothing left over.
         idx.insert_all(&data[400 * n..]).expect("insert");
-        let before = idx.stats();
-        assert!(before.packed_leaves < before.leaves, "inserts must leave stale leaves");
-        assert!(idx.subtrees().iter().any(|st| st.stale_leaves > 0));
-
-        idx.repack_incremental();
-        let after = idx.stats();
-        assert_eq!(after.packed_leaves, after.leaves, "incremental repack must pack everything");
-        assert!(idx.subtrees().iter().all(|st| st.stale_leaves == 0));
+        let s = idx.stats();
+        assert_eq!((s.folds, s.delta_rows, s.n_series), (25, 0, 700));
+        assert_eq!(s.packed_leaves, s.leaves, "a fold must pack every leaf");
         assert_layout_consistent(&idx);
+        // The fold re-uses the build's quantizer instead of retraining.
+        let kept = idx.quant_grid.as_ref().expect("quant grid");
+        assert_eq!((kept.scale(), kept.mins()), (grid.scale(), grid.mins()));
 
         // Answers agree with a bulk-built index over the same data.
         let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
@@ -820,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_repack_is_a_noop_on_a_clean_index() {
+    fn repack_is_a_noop_on_an_empty_delta() {
         let n = 64;
         let idx0 = sax_index(500, n, 20, 2);
         let starts: Vec<u32> = idx0
@@ -829,13 +700,14 @@ mod tests {
             .flat_map(|st| st.leaves().map(|l| l.pack().unwrap().start))
             .collect();
         let mut idx = idx0;
-        idx.repack_incremental();
+        idx.repack_leaves();
         let after: Vec<u32> = idx
             .subtrees()
             .iter()
             .flat_map(|st| st.leaves().map(|l| l.pack().unwrap().start))
             .collect();
-        assert_eq!(starts, after, "clean subtrees must keep their runs");
+        assert_eq!(starts, after, "an empty delta must leave the tree untouched");
+        assert_eq!(idx.stats().folds, 0);
         assert_layout_consistent(&idx);
     }
 

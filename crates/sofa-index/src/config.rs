@@ -8,7 +8,10 @@
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexConfig {
     /// Maximum series per leaf before it splits (`leaf-size`). The paper
-    /// sweeps this in Figure 11 and settles on 20,000.
+    /// sweeps this in Figure 11 and settles on 20,000. It also sizes the
+    /// insert delta: the insert that brings the delta to this many rows
+    /// folds it into the tree, so queries never scan more than one full
+    /// leaf's worth of unindexed rows.
     pub leaf_capacity: usize,
     /// Parallel lanes of the index's persistent worker pool (created at
     /// build time and reused by every build/query/insert call). Ignored
@@ -18,16 +21,6 @@ pub struct IndexConfig {
     /// Number of leaf priority queues used during query refinement;
     /// the paper sets it to the core count.
     pub num_queues: usize,
-    /// Auto-repack threshold, in percent: after an online insert (or once
-    /// per `insert_all` burst), when more than this percentage of the
-    /// tree's leaves are un-packed (per-row fallback refinement) — and at
-    /// least 8 in absolute terms, so tiny trees never repack on every
-    /// insert — [`crate::Index::repack_leaves`] runs automatically, on
-    /// the index's worker pool like every build phase, so long-running
-    /// serving instances keep the batched sweeps without operator action.
-    /// `None` disables the trigger (manual repacking only).
-    /// Default: `Some(25)`.
-    pub auto_repack_pct: Option<u32>,
     /// How many levels of internal nodes below each subtree root the
     /// collect phase prices through hierarchy-aware level blocks before
     /// falling through to the leaf fringe. A pruned level lane retires its
@@ -52,7 +45,6 @@ impl Default for IndexConfig {
             leaf_capacity: 20_000,
             num_threads: threads,
             num_queues: threads,
-            auto_repack_pct: Some(25),
             collect_levels: crate::node::DEFAULT_COLLECT_LEVELS,
             quant_refine: true,
         }
@@ -74,16 +66,6 @@ impl IndexConfig {
     #[must_use]
     pub fn leaf_capacity(mut self, capacity: usize) -> Self {
         self.leaf_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets (or, with `None`, disables) the auto-repack threshold — the
-    /// percentage of un-packed leaves that triggers an automatic
-    /// incremental repack ([`crate::Index::repack_incremental`]) after an
-    /// online insert.
-    #[must_use]
-    pub fn auto_repack_pct(mut self, pct: Option<u32>) -> Self {
-        self.auto_repack_pct = pct;
         self
     }
 
@@ -115,7 +97,6 @@ mod tests {
         assert_eq!(c.leaf_capacity, 20_000);
         assert_eq!(c.num_queues, c.num_threads);
         assert!(c.num_threads >= 1);
-        assert_eq!(c.auto_repack_pct, Some(25));
         assert_eq!(c.collect_levels, crate::node::DEFAULT_COLLECT_LEVELS);
         assert!(c.quant_refine);
     }
@@ -132,14 +113,6 @@ mod tests {
         assert_eq!(c.collect_levels, 0);
         let c = IndexConfig::default().collect_levels(9);
         assert_eq!(c.collect_levels, 9);
-    }
-
-    #[test]
-    fn auto_repack_configurable() {
-        let c = IndexConfig::default().auto_repack_pct(Some(5));
-        assert_eq!(c.auto_repack_pct, Some(5));
-        let off = IndexConfig::default().auto_repack_pct(None);
-        assert_eq!(off.auto_repack_pct, None);
     }
 
     #[test]

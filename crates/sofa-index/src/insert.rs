@@ -1,44 +1,64 @@
-//! Incremental insertion — the iSAX-2.0-style online path of the index
-//! family.
+//! Online inserts: an append-only delta folded into the tree in bulk.
 //!
-//! MESSI (and SOFA) are described as batch-built indexes, but every member
-//! of the iSAX family also supports online insertion: append the series,
-//! compute its word, descend the home subtree to a leaf, and when the leaf
-//! exceeds its capacity split it by increasing the cardinality of the
-//! position whose next bit divides the leaf's rows most evenly (paper
-//! §IV-B: "when the number of series in a leaf node exceeds its capacity,
-//! the leaf splits into two new leaves, becoming an inner node"). This
-//! module implements that path so the index stays usable for workloads
-//! that trickle in after the initial bulk build.
+//! The paper's SOFA/MESSI tree is bulk-built (§IV-G), and FAISS keeps its
+//! indexes add-only; this module keeps the built tree immutable the same
+//! way. [`Index::insert`] z-normalizes the series, computes its word with
+//! the index's learned model, and appends both to the **delta**: the
+//! rows beside the tree, append-only, with room for a whole fill
+//! reserved at once. An insert never splits a leaf and never writes a
+//! memory-mapped arena. While the arenas are owned, the delta rows sit at
+//! their tail (beyond every row the tree indexes); while they are still
+//! mapped from a snapshot, the rows collect in a side buffer.
 //!
-//! Inserts keep every exactness invariant: the new row's word respects its
-//! leaf's prefix (checked by tests), so queries started after an insert
-//! see the new series.
+//! Every query answers tree ∪ delta: the tree funnel runs unchanged, then
+//! the delta rows are scanned through the same pruning bound — word lower
+//! bound first, then the exact kernel (see [`crate::query`]).
+//!
+//! When the delta reaches `leaf_capacity` rows, the insert that fills it
+//! **folds** it into the tree: the rows join the tree's storage (mapped
+//! arenas are promoted to owned copies that end with the side buffer's
+//! rows), the forest is regrown from the stored words (no re-transform;
+//! the quantizer is kept), and every leaf is packed again. The unpruned
+//! delta scan is thus bounded by one full leaf, with no extra knob.
+//!
+//! Row ids are stable: delta row `i` has id `tree rows + i` and storage
+//! slot `tree rows + i` once folded, so every id `insert` returned keeps
+//! naming the same series. An SFA model learned at build time is *not*
+//! re-learned — the paper's batch protocol; drifting data would call for
+//! a rebuild.
 
-use crate::node::{root_key, Node, NodeKind, Subtree};
+use crate::arena::Arena;
+use crate::node::root_key;
 use crate::{Index, IndexError};
 use sofa_summaries::Summarization;
+
+/// Rows inserted since the last fold, in insertion order (see the module
+/// docs for where their values and words live).
+#[derive(Debug, Default)]
+pub(crate) struct Delta {
+    /// Side buffer of z-normalized values (`rows * series_len`), used
+    /// only while the arenas are mapped; empty otherwise.
+    pub data: Vec<f32>,
+    /// Side buffer of words (`rows * word_len`), same rule.
+    pub words: Vec<u8>,
+    /// Rows currently held.
+    pub rows: usize,
+    /// Folds performed over the index's lifetime.
+    pub folds: u64,
+}
 
 impl<S: Summarization> Index<S> {
     /// Inserts one series, returning its row id.
     ///
-    /// The series is z-normalized and summarized with the index's learned
-    /// model. Note that an SFA model learned at build time is *not*
-    /// re-learned — the paper's batch protocol; drifting data would call
-    /// for a rebuild.
+    /// The series joins the delta (see the module docs) and is visible to
+    /// every query started after this call returns. The insert that
+    /// brings the delta to `leaf_capacity` rows also folds it into the
+    /// tree.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the series length mismatches.
+    /// Returns [`IndexError::BadQuery`] if the series length mismatches,
+    /// or [`IndexError::TooManyRows`] past the `u32` row-id space.
     pub fn insert(&mut self, series: &[f32]) -> Result<u32, IndexError> {
-        let row = self.insert_without_repack(series)?;
-        self.maybe_auto_repack();
-        Ok(row)
-    }
-
-    /// The insert body, without the auto-repack check —
-    /// [`Index::insert_all`] defers that to the end of the burst so a
-    /// batch of inserts never pays more than one repack.
-    fn insert_without_repack(&mut self, series: &[f32]) -> Result<u32, IndexError> {
         if series.len() != self.series_len {
             return Err(IndexError::BadQuery(format!(
                 "series length {} != index series length {}",
@@ -46,141 +66,48 @@ impl<S: Summarization> Index<S> {
                 self.series_len
             )));
         }
-        let next_row = self.data.len() / self.series_len;
-        if next_row > u32::MAX as usize {
-            // Row ids and storage slots are `u32`; one more row would
-            // silently truncate every cast downstream.
-            return Err(IndexError::TooManyRows { rows: next_row + 1 });
-        }
-        // Append normalized values and the word. The new row takes the
-        // next storage slot (the arena tail), so existing packed runs are
-        // undisturbed; only the leaf receiving the row loses its pack.
-        let mut z = series.to_vec();
-        sofa_simd::znormalize(&mut z);
-        let mut word = vec![0u8; self.word_len];
-        self.summarization.transformer().word_into(&z, &mut word);
-        // Lossless: `next_row <= u32::MAX` was checked above.
-        let row = next_row as u32;
-        // Appends promote mapped (snapshot-opened) arenas to owned copies
-        // (whole-arena copy-on-write, paid once per opened index).
-        self.data.make_mut().extend_from_slice(&z);
-        self.words.make_mut().extend_from_slice(&word);
-        self.row_to_slot.push(row);
-        self.slot_to_row.push(row);
-
-        let symbol_bits = self.summarization.symbol_bits();
-        let key = root_key(&word, symbol_bits);
-        let subtree_idx = match self.subtrees.binary_search_by_key(&key, |s| s.key) {
-            Ok(i) => i,
-            Err(i) => {
-                // New root child: a fresh subtree holding one leaf. No
-                // collect block: single-node subtrees are priced by the
-                // RootLbd gate alone (their leaf's 1-bit label *is* the
-                // key), and `repack_leaves` attaches a block if splits
-                // ever grow the subtree.
-                let prefixes: Vec<u8> =
-                    (0..self.word_len).map(|j| ((key >> j) & 1) as u8).collect();
-                let bits = vec![1u8; self.word_len];
-                let subtree = Subtree {
-                    key,
-                    nodes: vec![Node {
-                        prefixes,
-                        bits,
-                        kind: NodeKind::Leaf { rows: vec![], pack: None },
-                    }],
-                    collect: None,
-                    stale_leaves: 1,
-                };
-                self.subtrees.insert(i, subtree);
-                // The new leaf starts un-packed (it is about to receive
-                // its first row).
-                self.total_leaves += 1;
-                self.unpacked_leaves += 1;
-                i
-            }
+        let row = self.n_series();
+        // Row ids are `u32`; one more row would silently truncate every
+        // cast downstream.
+        let id = u32::try_from(row).map_err(|_| IndexError::TooManyRows { rows: row + 1 })?;
+        let (n, l) = (self.series_len, self.word_len);
+        let cap = self.config.leaf_capacity;
+        let room = cap - self.delta.rows;
+        let (data, words) = match (&mut self.data, &mut self.words) {
+            (Arena::Owned(data), Arena::Owned(words)) => (data, words),
+            _ => (&mut self.delta.data, &mut self.delta.words),
         };
-
-        // Descend to the home leaf by the word's bits, tracking its depth
-        // (root = 0) so a split can patch the matching hierarchy level.
-        let subtree = &mut self.subtrees[subtree_idx];
-        let mut id = 0u32;
-        let mut depth = 0usize;
-        loop {
-            match &subtree.nodes[id as usize].kind {
-                NodeKind::Leaf { .. } => break,
-                NodeKind::Inner { left, right, split_pos } => {
-                    let pos = *split_pos as usize;
-                    let child_bits = subtree.nodes[id as usize].bits[pos] + 1;
-                    let bit = (word[pos] >> (symbol_bits - child_bits)) & 1;
-                    id = if bit == 0 { *left } else { *right };
-                    depth += 1;
-                }
-            }
+        // One reservation per fill, for every row the delta can still
+        // take before it folds. (An unsatisfiable reservation just leaves
+        // the buffers growing on demand.)
+        if data.capacity() - data.len() < n {
+            let _ = data.try_reserve_exact(room.saturating_mul(n));
         }
-        let mut newly_unpacked = 0usize;
-        match &mut subtree.nodes[id as usize].kind {
-            NodeKind::Leaf { rows, pack } => {
-                rows.push(row);
-                // The leaf's contiguous run no longer covers all its rows:
-                // drop the pack so refinement falls back to the exact
-                // per-row path until `repack_leaves` runs.
-                if pack.take().is_some() {
-                    newly_unpacked += 1;
-                }
-            }
-            NodeKind::Inner { .. } => unreachable!("descent ends at a leaf"),
+        if words.capacity() - words.len() < l {
+            let _ = words.try_reserve_exact(room.saturating_mul(l));
         }
-        // Each split turns one (un-packed) leaf into an inner node with
-        // two un-packed leaves: +1 leaf, +1 un-packed, net. The subtree's
-        // collect block is *not* rebuilt — the split node's lane keeps its
-        // (parent-interval) bounds, which remain a valid lower bound for
-        // both children; the collect sweep finishes such stale lanes with
-        // a scalar descent until the next repack. When the split lands on
-        // a recorded hierarchy level, the new inner node is appended to
-        // that level's lanes (span = its own fringe lane), so level
-        // pruning can retire the stale lane wholesale between repacks.
-        let splits = split_while_overfull(
-            subtree,
-            id,
-            depth,
-            &self.words,
-            &self.row_to_slot,
-            self.word_len,
-            symbol_bits,
-            self.config.leaf_capacity,
-            &self.summarization,
-        );
-        // Stale-lane accounting is per subtree (the incremental repack
-        // rebuilds exactly the subtrees whose count is non-zero) with the
-        // global tally kept alongside for the trigger threshold.
-        subtree.stale_leaves += newly_unpacked + splits;
-        self.total_leaves += splits;
-        self.unpacked_leaves += newly_unpacked + splits;
-        Ok(row)
+        let start = data.len();
+        data.extend_from_slice(series);
+        sofa_simd::znormalize(&mut data[start..]);
+        let word_start = words.len();
+        words.resize(word_start + l, 0);
+        self.summarization.transformer().word_into(&data[start..], &mut words[word_start..]);
+        self.delta.rows += 1;
+        if self.delta.rows >= cap {
+            self.fold();
+        }
+        Ok(id)
     }
 
-    /// The auto-repack trigger (ROADMAP PR-3 deferred item): once
-    /// un-packed leaves exceed the configured percentage of the tree,
-    /// restore the packed layout on the worker pool right away instead of
-    /// waiting for an operator call. The trigger runs the *incremental*
-    /// repack — only subtrees with stale lanes rebuild their word and
-    /// collect blocks, untouched subtrees reuse theirs — so the dominant
-    /// repack cost (block construction) scales with the touched portion
-    /// of the tree (slot bookkeeping remains one O(n) scan; see
-    /// [`Index::repack_incremental`]), keeping long-running serving
-    /// instances on the batched leaf/collect sweeps.
-    fn maybe_auto_repack(&mut self) {
-        let Some(pct) = self.config.auto_repack_pct else { return };
-        // Amortization floor: a repack still permutes shifted arena runs,
-        // so it must be paid for by a batch of un-packed leaves. Without
-        // the floor, a tree with single-digit leaf counts (the default
-        // leaf_capacity is 20k) would exceed any percentage after one
-        // insert and repack on *every* insert — quadratic bursts.
-        const MIN_UNPACKED: usize = 8;
-        if self.unpacked_leaves >= MIN_UNPACKED
-            && self.unpacked_leaves * 100 > self.total_leaves.max(1) * pct as usize
-        {
-            self.repack_incremental();
+    /// The delta's z-normalized values and words, row-major in row-id
+    /// order — the arena tail, or the side buffer while the arenas are
+    /// mapped.
+    pub(crate) fn delta_slices(&self) -> (&[f32], &[u8]) {
+        if self.is_mapped() {
+            (&self.delta.data, &self.delta.words)
+        } else {
+            let tree_rows = self.slot_to_row.len();
+            (&self.data[tree_rows * self.series_len..], &self.words[tree_rows * self.word_len..])
         }
     }
 
@@ -189,136 +116,53 @@ impl<S: Summarization> Index<S> {
     ///
     /// # Errors
     /// Returns [`IndexError::BadDataset`] if the buffer is not a whole
-    /// number of series.
+    /// number of series, or [`IndexError::TooManyRows`] past the `u32`
+    /// row-id space.
     pub fn insert_all(&mut self, buffer: &[f32]) -> Result<u32, IndexError> {
         if buffer.is_empty() || buffer.len() % self.series_len != 0 {
             return Err(IndexError::BadDataset(
                 "buffer must be a non-empty whole number of series".into(),
             ));
         }
-        // Checked: with exactly u32::MAX + 1 rows already stored the
-        // plain cast would wrap the returned first-row id to 0 (the
-        // per-row inserts below would each error, but only after this
-        // value was computed).
-        let first = u32::try_from(self.data.len() / self.series_len)
-            .map_err(|_| IndexError::TooManyRows { rows: self.data.len() / self.series_len })?;
+        let first = u32::try_from(self.n_series())
+            .map_err(|_| IndexError::TooManyRows { rows: self.n_series() + 1 })?;
         for series in buffer.chunks(self.series_len) {
-            self.insert_without_repack(series)?;
+            self.insert(series)?;
         }
-        // One auto-repack check for the whole burst: the trigger fires at
-        // most once per `insert_all`, amortized over every row above.
-        self.maybe_auto_repack();
         Ok(first)
     }
-}
 
-/// Splits `leaf` (at `leaf_depth`, root = 0) — and any over-full child
-/// produced by the split — using the balanced-split rule, mutating the
-/// subtree arena in place. `words` is in storage order; `row_to_slot`
-/// maps the row ids stored in leaves to it. Returns the number of splits
-/// performed (each adds one leaf).
-///
-/// When the splitting node is a recorded fringe lane of the subtree's
-/// collect block and its depth lands on a kept hierarchy level, the new
-/// inner node is appended to that level ([`LevelLanes`] +
-/// [`sofa_summaries::LevelBlocks::push_level_lane`]) with a 1-wide span
-/// covering exactly its own fringe lane. Pruning that lane then retires
-/// the stale fringe lane — and with it the scalar descent into the split
-/// children — wholesale, keeping level pruning sharp between repacks.
-/// Deeper descendants of online splits have no fringe lane of their own
-/// and are skipped: a 1-wide span over the shared ancestor lane would
-/// retire the *sibling's* rows too, which would be unsound.
-#[allow(clippy::too_many_arguments)]
-fn split_while_overfull(
-    subtree: &mut Subtree,
-    leaf: u32,
-    leaf_depth: usize,
-    words: &[u8],
-    row_to_slot: &[u32],
-    l: usize,
-    symbol_bits: u8,
-    leaf_capacity: usize,
-    summarization: &dyn Summarization,
-) -> usize {
-    let word_bit = |r: u32, j: usize, shift: u8| {
-        (words[row_to_slot[r as usize] as usize * l + j] >> shift) & 1
-    };
-    let mut splits = 0usize;
-    let mut pending = vec![(leaf, leaf_depth)];
-    while let Some((id, depth)) = pending.pop() {
-        let (rows, prefixes, bits) = {
-            let node = &subtree.nodes[id as usize];
-            let NodeKind::Leaf { rows, .. } = &node.kind else { continue };
-            if rows.len() <= leaf_capacity {
-                continue;
-            }
-            (rows.clone(), node.prefixes.clone(), node.bits.clone())
-        };
-
-        // Balanced split position (same rule as the bulk build).
-        let mut best: Option<(usize, usize)> = None;
-        for j in 0..l {
-            if bits[j] >= symbol_bits {
-                continue;
-            }
-            let shift = symbol_bits - bits[j] - 1;
-            let ones = rows.iter().filter(|&&r| word_bit(r, j, shift) == 1).count();
-            let zeros = rows.len() - ones;
-            if ones == 0 || zeros == 0 {
-                continue;
-            }
-            let imbalance = ones.abs_diff(zeros);
-            let better = match best {
-                None => true,
-                Some((bi, bj)) => imbalance < bi || (imbalance == bi && bits[j] < bits[bj]),
-            };
-            if better {
-                best = Some((imbalance, j));
-            }
+    /// Folds the delta into the tree now (a no-op when it is empty), so
+    /// every row is served by the packed tree again. (The name predates
+    /// the delta; it is kept so existing callers compile.)
+    pub fn repack_leaves(&mut self) {
+        if self.delta.rows > 0 {
+            self.fold();
         }
-        let Some((_, split_pos)) = best else {
-            continue; // unsplittable: allow the over-full leaf
-        };
-
-        let shift = symbol_bits - bits[split_pos] - 1;
-        let (zeros, ones): (Vec<u32>, Vec<u32>) =
-            rows.iter().partition(|&&r| word_bit(r, split_pos, shift) == 0);
-
-        let child = |bit: u8, rows: Vec<u32>| {
-            let mut p = prefixes.clone();
-            let mut b = bits.clone();
-            p[split_pos] = (p[split_pos] << 1) | bit;
-            b[split_pos] += 1;
-            // Split children start un-packed: their rows are subsets of
-            // the parent's (no longer contiguous) run.
-            Node { prefixes: p, bits: b, kind: NodeKind::Leaf { rows, pack: None } }
-        };
-        let left = u32::try_from(subtree.nodes.len()).expect("node-id space (u32) exhausted");
-        subtree.nodes.push(child(0, zeros));
-        let right = u32::try_from(subtree.nodes.len()).expect("node-id space (u32) exhausted");
-        subtree.nodes.push(child(1, ones));
-        subtree.nodes[id as usize].kind =
-            NodeKind::Inner { left, right, split_pos: split_pos as u16 };
-        splits += 1;
-        // Level patch (see the fn docs): only nodes that *are* a fringe
-        // lane — build-time leaves — qualify, and only within the levels
-        // the build actually kept.
-        if let Some(cb) = subtree.collect.as_mut() {
-            if (1..=cb.levels.len()).contains(&depth) {
-                if let Some(lane) = cb.node_ids.iter().position(|&nid| nid == id) {
-                    let li = depth - 1;
-                    cb.levels[li].node_ids.push(id);
-                    // Lossless: lane indexes cb.node_ids, whose length
-                    // is bounded by the (u32) node count.
-                    cb.levels[li].leaf_spans.push((lane as u32, lane as u32 + 1));
-                    cb.level_blocks.push_level_lane(li, summarization, &prefixes, &bits);
-                }
-            }
-        }
-        pending.push((left, depth + 1));
-        pending.push((right, depth + 1));
     }
-    splits
+
+    /// Folds the delta into the tree: promotes mapped arenas (taking the
+    /// side buffer's rows along), hands the tail rows to the tree,
+    /// regrows the forest from the stored words and packs every leaf.
+    /// Also run once by `open` on format-1 snapshots whose leaf layout
+    /// in-place inserts had left stale.
+    pub(crate) fn fold(&mut self) {
+        let delta = std::mem::take(&mut self.delta);
+        self.delta.folds = delta.folds + 1;
+        self.data.promote(delta.data);
+        self.words.promote(delta.words);
+        // Delta rows sit at the arena tail in id order, so their slots
+        // start out equal to their ids; the pack then permutes them.
+        let first = self.slot_to_row.len();
+        // Lossless: insert rejects ids past u32::MAX.
+        let ids = (first..first + delta.rows).map(|row| row as u32);
+        self.row_to_slot.extend(ids.clone());
+        self.slot_to_row.extend(ids);
+        let symbol_bits = self.summarization.symbol_bits();
+        let keys: Vec<u64> =
+            self.words.chunks_exact(self.word_len).map(|w| root_key(w, symbol_bits)).collect();
+        self.grow_forest(&keys);
+    }
 }
 
 #[cfg(test)]
@@ -422,107 +266,40 @@ mod tests {
     }
 
     #[test]
-    fn auto_repack_triggers_on_bursts_and_respects_opt_out() {
+    fn delta_folds_exactly_when_it_reaches_leaf_capacity() {
         let n = 64;
         let data = dataset(600, n, 11);
         let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
         let mut idx =
             Index::build(sax, &data[..300 * n], IndexConfig::with_threads(1).leaf_capacity(10))
                 .expect("build");
-        idx.insert_all(&data[300 * n..]).expect("insert");
-        // The burst runs the trigger exactly once, at the end; afterwards
-        // the un-packed share must sit below the (floored) threshold.
+        let leaves = idx.stats().leaves;
+        // Nine inserts stay in the delta: the tree is untouched.
+        for (i, row) in data[300 * n..309 * n].chunks(n).enumerate() {
+            assert_eq!(idx.insert(row).expect("insert"), 300 + i as u32);
+        }
         let s = idx.stats();
-        let unpacked = s.leaves - s.packed_leaves;
-        assert!(
-            unpacked < 8 || unpacked * 100 <= s.leaves * 25,
-            "auto-repack did not hold the threshold: {unpacked}/{} un-packed",
-            s.leaves
-        );
-
-        // Opting out leaves the fallback leaves in place until a manual
-        // repack.
-        let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
-        let mut manual = Index::build(
-            sax,
-            &data[..300 * n],
-            IndexConfig::with_threads(1).leaf_capacity(10).auto_repack_pct(None),
-        )
-        .expect("build");
-        manual.insert_all(&data[300 * n..]).expect("insert");
-        let s = manual.stats();
-        assert!(s.packed_leaves < s.leaves, "opt-out must not repack: {s:?}");
-        manual.repack_leaves();
-        let s = manual.stats();
+        assert_eq!((s.delta_rows, s.folds, s.n_series, s.leaves), (9, 0, 309, leaves));
+        assert_eq!(idx.series(305), &idx.delta_slices().0[5 * n..6 * n]);
+        // The tenth fills it and folds: every row in the packed tree.
+        idx.insert(&data[309 * n..310 * n]).expect("insert");
+        let s = idx.stats();
+        assert_eq!((s.delta_rows, s.folds, s.n_series), (0, 1, 310));
         assert_eq!(s.packed_leaves, s.leaves);
-    }
-
-    #[test]
-    fn split_on_a_recorded_level_appends_a_level_lane() {
-        use crate::node::CollectBlock;
-        let l = 8usize;
-        let sax = ISax::new(64, &SaxConfig { word_len: 8, alphabet: 256 });
-        // Left-comb subtree: inner_i at depth i, left child a leaf, right
-        // child inner_{i+1} (the last inner gets a right leaf). 26 leaves
-        // clear the level-recording gate; the budget keeps depth 1, whose
-        // only lane is inner_1 — and the depth-1 leaf (fringe lane 0) is
-        // exactly the node a recorded-level split can patch.
-        let n_inner = 25u32;
-        let node = |kind| Node { prefixes: vec![0; l], bits: vec![1; l], kind };
-        let mut nodes: Vec<Node> = (0..n_inner)
-            .map(|i| {
-                let right = if i + 1 < n_inner { i + 1 } else { n_inner + n_inner };
-                node(NodeKind::Inner { left: n_inner + i, right, split_pos: 0 })
-            })
-            .collect();
-        for _ in 0..=n_inner {
-            nodes.push(node(NodeKind::Leaf { rows: vec![], pack: None }));
+        assert_eq!(s.fallback_leaf_pct, 0.0);
+        // A built index keeps its delta at the arena tail: no side buffer.
+        assert_eq!((idx.delta.data.capacity(), idx.delta.words.capacity()), (0, 0));
+        assert_eq!(idx.delta_slices().0.len(), 0);
+        // Row ids survive the fold: each row still holds its series.
+        for r in [0usize, 150, 299, 300, 305, 309] {
+            let mut z = data[r * n..(r + 1) * n].to_vec();
+            sofa_simd::znormalize(&mut z);
+            assert_eq!(idx.series(r), z.as_slice(), "row {r}");
         }
-        let mut subtree = Subtree { key: 0, nodes, collect: None, stale_leaves: 0 };
-        subtree.collect = Some(CollectBlock::build(&sax, &subtree, 6));
-        let cb = subtree.collect.as_ref().unwrap();
-        assert_eq!(cb.levels.len(), 1, "budget must keep exactly depth 1");
-        let lanes_before = cb.levels[0].node_ids.len();
-        assert_eq!(cb.node_ids[0], n_inner, "depth-1 leaf must be fringe lane 0");
-
-        // Over-fill the depth-1 leaf with 12 rows whose words differ only
-        // in position 0's second bit (6/6), then split it.
-        let target = n_inner;
-        let rows: Vec<u32> = (0..12).collect();
-        let mut words = vec![0u8; 12 * l];
-        for r in 0..12 {
-            words[r * l] = if r % 2 == 0 { 0x00 } else { 0x40 };
-        }
-        let row_to_slot: Vec<u32> = (0..12).collect();
-        match &mut subtree.nodes[target as usize].kind {
-            NodeKind::Leaf { rows: slot, .. } => *slot = rows,
-            NodeKind::Inner { .. } => unreachable!(),
-        }
-        let splits =
-            split_while_overfull(&mut subtree, target, 1, &words, &row_to_slot, l, 8, 8, &sax);
-        assert_eq!(splits, 1);
-        let cb = subtree.collect.as_ref().unwrap();
-        assert_eq!(cb.levels[0].node_ids.len(), lanes_before + 1, "lane not appended");
-        assert_eq!(*cb.levels[0].node_ids.last().unwrap(), target);
-        // The appended span covers exactly the split node's own fringe
-        // lane — never the siblings'.
-        assert_eq!(*cb.levels[0].leaf_spans.last().unwrap(), (0, 1));
-        assert_eq!(cb.level_blocks.level(0).n(), lanes_before + 1);
-
-        // A deeper split (depth 2 leaf = left child of inner_1; no lane
-        // of its own on the kept level... and past cb.levels anyway) must
-        // append nothing.
-        let deep_leaf = n_inner + 1;
-        let rows: Vec<u32> = (0..12).collect();
-        match &mut subtree.nodes[deep_leaf as usize].kind {
-            NodeKind::Leaf { rows: slot, .. } => *slot = rows,
-            NodeKind::Inner { .. } => unreachable!(),
-        }
-        let splits =
-            split_while_overfull(&mut subtree, deep_leaf, 2, &words, &row_to_slot, l, 8, 8, &sax);
-        assert_eq!(splits, 1);
-        let cb = subtree.collect.as_ref().unwrap();
-        assert_eq!(cb.levels[0].node_ids.len(), lanes_before + 1, "deep split must not patch");
+        // A burst folds each time the delta fills.
+        idx.insert_all(&data[310 * n..]).expect("insert");
+        let s = idx.stats();
+        assert_eq!((s.delta_rows, s.folds, s.n_series), (0, 30, 600));
     }
 
     #[test]
@@ -541,20 +318,15 @@ mod tests {
             }
         }
         let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
-        let mut idx = Index::build(
-            sax,
-            &data,
-            // Auto-repack off so the split-time patch (not a rebuild) is
-            // what the assertions observe.
-            IndexConfig::with_threads(1).leaf_capacity(8).auto_repack_pct(None),
-        )
-        .expect("build");
+        let mut idx =
+            Index::build(sax, &data, IndexConfig::with_threads(1).leaf_capacity(8)).expect("build");
         assert!(
             !idx.subtrees()[0].collect.as_ref().expect("collect block").levels.is_empty(),
             "deep build must record levels"
         );
 
-        // Insert enough rows to force splits across the tree.
+        // Insert enough rows to force splits across the tree: 50 folds,
+        // with 0 rows left in the delta.
         let mut extra = Vec::with_capacity(400 * n);
         for r in 900..1300 {
             for t in 0..n {
@@ -562,10 +334,11 @@ mod tests {
             }
         }
         idx.insert_all(&extra).expect("insert");
+        assert_eq!((idx.stats().folds, idx.stats().delta_rows), (50, 0));
 
         let cb = idx.subtrees()[0].collect.as_ref().expect("collect block");
-        // After the burst every level lane — build-time or appended —
-        // stays consistent with its level block and fringe.
+        // After the burst every level lane stays consistent with its
+        // level block and fringe, and every fringe lane is a leaf.
         for (li, lanes) in cb.levels.iter().enumerate() {
             assert_eq!(lanes.node_ids.len(), lanes.leaf_spans.len());
             assert_eq!(lanes.node_ids.len(), cb.level_blocks.level(li).n());
@@ -575,6 +348,7 @@ mod tests {
                 assert!(!idx.subtrees()[0].nodes[*lane as usize].is_leaf());
             }
         }
+        assert!(cb.node_ids.iter().all(|&id| idx.subtrees()[0].nodes[id as usize].is_leaf()));
 
         // Exactness is untouched: every inserted row finds itself, and
         // results match a bulk-built index over the same rows.
@@ -590,7 +364,7 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert!(
                     (x.dist_sq - y.dist_sq).abs() < 1e-4 * x.dist_sq.max(1.0),
-                    "patched {x:?} vs bulk {y:?}"
+                    "folded {x:?} vs bulk {y:?}"
                 );
             }
             assert!(stats.leaves_collected > 0 || stats.nodes_pruned > 0, "{stats:?}");
@@ -623,5 +397,12 @@ mod tests {
         assert!(idx.subtrees().len() >= before);
         let nn = idx.nn(&spiky).expect("query");
         assert!(nn.dist_sq < 1e-4);
+        // Fill the delta: the fold files the spiky row under its own key.
+        for _ in 0..3 {
+            idx.insert(&smooth).expect("insert");
+        }
+        assert_eq!(idx.stats().folds, 1);
+        assert!(idx.subtrees().len() > before, "the fold must add the new root key");
+        assert!(idx.nn(&spiky).expect("query").dist_sq < 1e-4);
     }
 }

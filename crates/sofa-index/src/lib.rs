@@ -29,6 +29,11 @@
 //!    only then compute real distances (also early-abandoned), updating
 //!    the shared atomic BSF.
 //!
+//! Built trees are immutable. Online inserts join a small append-only
+//! delta that every query scans after the tree funnel, and the delta is
+//! folded into a regrown, freshly packed tree once it holds a leaf's
+//! worth of rows (see [`insert`]).
+//!
 //! The result is exact: every pruning step is justified by a lower bound.
 //! The crate-level tests and the workspace property tests verify that the
 //! index returns byte-identical nearest neighbors to a brute-force scan.
@@ -198,18 +203,16 @@ pub struct Index<S: Summarization> {
     /// Pool of per-query scratches (one per worker lane in the steady
     /// state); see [`scratch`].
     pub(crate) scratches: scratch::ScratchPool,
-    /// Leaves currently lacking packed storage (maintained by
-    /// `insert`/`repack_leaves`; drives the auto-repack trigger).
-    pub(crate) unpacked_leaves: usize,
-    /// Total leaves (same maintenance).
-    pub(crate) total_leaves: usize,
+    /// Rows inserted since the last fold, which the tree does not hold
+    /// yet (see [`insert`]). Their ids follow the tree's rows.
+    pub(crate) delta: insert::Delta,
 }
 
 impl<S: Summarization> Index<S> {
-    /// Number of indexed series.
+    /// Number of indexed series: the tree's rows plus the delta's.
     #[must_use]
     pub fn n_series(&self) -> usize {
-        self.data.len().checked_div(self.series_len).unwrap_or(0)
+        self.slot_to_row.len() + self.delta.rows
     }
 
     /// Length of every indexed series.
@@ -239,16 +242,23 @@ impl<S: Summarization> Index<S> {
     }
 
     /// Z-normalized series `row` (original row id; storage may be
-    /// leaf-permuted internally).
+    /// leaf-permuted internally, and rows inserted since the last fold
+    /// live in the delta).
     #[must_use]
     pub fn series(&self, row: usize) -> &[f32] {
-        self.series_at_slot(self.row_to_slot[row] as usize)
+        match row.checked_sub(self.slot_to_row.len()) {
+            None => self.series_at_slot(self.row_to_slot[row] as usize),
+            Some(i) => &self.delta_slices().0[i * self.series_len..(i + 1) * self.series_len],
+        }
     }
 
     /// Word of series `row` (original row id).
     #[must_use]
     pub fn word(&self, row: usize) -> &[u8] {
-        self.word_at_slot(self.row_to_slot[row] as usize)
+        match row.checked_sub(self.slot_to_row.len()) {
+            None => self.word_at_slot(self.row_to_slot[row] as usize),
+            Some(i) => &self.delta_slices().1[i * self.word_len..(i + 1) * self.word_len],
+        }
     }
 
     /// Z-normalized series at storage `slot` (leaf-contiguous order).
@@ -288,9 +298,9 @@ impl<S: Summarization> Index<S> {
     }
 
     /// Whether this index still serves its storage arenas straight out of
-    /// a memory-mapped snapshot ([`Index::open`]). Mutations (inserts,
-    /// repacks that move rows) copy-on-write promote the arenas to owned
-    /// storage, after which this returns `false`.
+    /// a memory-mapped snapshot ([`Index::open`]). Inserts leave the
+    /// arenas mapped (they go to the delta); the first fold copies them
+    /// into owned storage, after which this returns `false`.
     #[must_use]
     pub fn is_mapped(&self) -> bool {
         self.data.is_mapped() || self.words.is_mapped()

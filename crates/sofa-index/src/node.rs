@@ -8,6 +8,11 @@
 //! significant bits of the symbol). An inner node's two children extend
 //! one position by one bit (set to 0 and 1 — the iSAX split), chosen to
 //! balance the series between them (as in iSAX 2.0 / MESSI).
+//!
+//! Built trees are immutable. Online inserts go to the index's delta and
+//! reach the tree only through a fold, which regrows the whole forest
+//! from the stored words and packs every leaf again — so no node ever
+//! changes kind, and every collect lane points at a packed leaf.
 
 use sofa_summaries::{LevelBlocks, NodeBlock, QuantBlock, Summarization, WordBlock};
 
@@ -19,9 +24,6 @@ pub type NodeId = u32;
 /// (`start .. start + rows.len()`) in the index's data/words arenas, in
 /// `rows` order, and `block` holds the leaf's words as a
 /// structure-of-arrays [`WordBlock`] for the batched lower-bound sweep.
-/// Online inserts into a leaf drop its pack (set it to `None`): the
-/// refinement path then falls back to per-row evaluation for that leaf
-/// until [`crate::Index::repack_leaves`] rebuilds the layout.
 #[derive(Clone, Debug)]
 pub struct LeafPack {
     /// First storage slot of the leaf's contiguous series/words run.
@@ -52,8 +54,8 @@ pub enum NodeKind {
         /// reported in these ids; storage may be permuted — see
         /// [`LeafPack`]).
         rows: Vec<u32>,
-        /// Contiguous-storage acceleration state; `None` until the build
-        /// packs leaves or after an online insert touched this leaf.
+        /// Contiguous-storage acceleration state; `None` only between a
+        /// build or fold growing the forest and packing its leaves.
         pack: Option<LeafPack>,
     },
     /// Inner node: refined on `split_pos` by one bit.
@@ -94,8 +96,7 @@ impl Node {
         }
     }
 
-    /// The leaf's packed-storage state (`None` for inner nodes and for
-    /// leaves invalidated by online inserts).
+    /// The leaf's packed-storage state (`None` for inner nodes).
     #[must_use]
     pub fn pack(&self) -> Option<&LeafPack> {
         match &self.kind {
@@ -145,18 +146,12 @@ const MIN_LEAVES_FOR_LEVELS: usize = 3 * sofa_simd::BLOCK_LANES + 1;
 ///
 /// The collect phase sweeps the levels top-down and then the surviving
 /// fringe, 8 lanes per dispatched kernel call, instead of walking the
-/// arena with a scalar `mindist_node` per node. Coherence across online
-/// splits is maintained *without rebuilding*: a split keeps the node's
-/// `prefixes`/`bits` and only changes its kind to `Inner`, so the lane's
-/// interval bounds remain a valid (parent-interval) lower bound for
-/// everything below it — the sweep detects such stale lanes by node kind
-/// and finishes them with a tiny scalar DFS over the freshly split
-/// descendants. [`crate::Index::repack_leaves`] (or the incremental
-/// repack) rebuilds the block to pure leaves.
+/// arena with a scalar `mindist_node` per node. Blocks are built when
+/// the leaves are packed and never patched: the tree they describe is
+/// immutable until the next fold rebuilds both.
 #[derive(Clone, Debug)]
 pub struct CollectBlock {
-    /// Arena node id per fringe lane, DFS order (leaves at build time; a
-    /// lane can point at an `Inner` node after online splits — see above).
+    /// Arena node id per fringe lane, DFS order (always leaves).
     pub node_ids: Vec<u32>,
     /// SoA interval bounds of the fringe lanes' `prefixes`/`bits`.
     pub block: NodeBlock,
@@ -265,15 +260,9 @@ pub struct Subtree {
     pub key: u64,
     /// Node arena; index 0 is the root.
     pub nodes: Vec<Node>,
-    /// Batched collect-phase pruning state (`None` only for subtrees that
-    /// have never been packed; the query path then falls back to the
-    /// scalar DFS).
+    /// Batched collect-phase pruning state. `None` for single-node
+    /// subtrees, which the query path prices by their root key alone.
     pub collect: Option<CollectBlock>,
-    /// Leaves of this subtree whose packed layout went stale (dropped
-    /// packs from online inserts, split children). Drives the incremental
-    /// repack: only subtrees with `stale_leaves > 0` rebuild their word
-    /// and collect blocks; clean subtrees reuse theirs.
-    pub stale_leaves: usize,
 }
 
 impl Subtree {
@@ -398,7 +387,7 @@ mod tests {
         for r in 0..=spine {
             nodes.push(leaf(vec![r]));
         }
-        let subtree = Subtree { key: 0, nodes, collect: None, stale_leaves: 0 };
+        let subtree = Subtree { key: 0, nodes, collect: None };
         let sax = ISax::new(64, &SaxConfig { word_len: l, alphabet: 4 });
         let cb = CollectBlock::build(&sax, &subtree, 4);
         // Fringe: leaves in DFS order = arena ids 128, 129, ..., 256.
@@ -433,7 +422,6 @@ mod tests {
         let subtree = Subtree {
             key: 0,
             collect: None,
-            stale_leaves: 0,
             nodes: vec![
                 Node {
                     prefixes: vec![0; 2],

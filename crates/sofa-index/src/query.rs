@@ -26,12 +26,20 @@
 //! abandon against the bound mid-sum); the **refine phase** then
 //! lower-bounds each surviving leaf's candidates 8 at a time through
 //! [`mindist_block`]. Scalar `mindist_node` survives only on the cold
-//! paths: the approximate descent and lanes left stale by online splits.
+//! approximate descent.
+//!
+//! Rows inserted since the last fold live in the index's delta, outside
+//! the tree. Every query kind answers tree ∪ delta: once the tree funnel
+//! has run (unchanged), the delta rows are scanned across the pool lanes
+//! through the same [`PruneBound`] — word lower bound first
+//! ([`mindist_simd`]), then the exact kernel. Bounds only tighten, so
+//! tree pruning decisions made before the delta was seen stay valid. The
+//! delta never holds more than one leaf's worth of rows.
 //!
 //! Parallel phases execute on the index's persistent
 //! [`sofa_exec::ExecPool`] (no per-query thread spawning), and every
 //! per-query buffer — context values, query word, queues, k-NN heap,
-//! range hit list, DFS stacks — comes from a pooled
+//! range hit list, dead-lane markers — comes from a pooled
 //! [`crate::scratch::QueryScratch`], so the steady-state serial path
 //! performs zero heap allocations and [`Index::knn_batch`] lanes reuse
 //! one scratch per lane across the whole mini-batch.
@@ -62,6 +70,11 @@ use std::sync::Arc;
 /// kill several rows at a quarter of their `f32` traffic, clear the
 /// bar (value tuned empirically on the `ext-throughput` A/B arms).
 const QUANT_MIN_SURVIVORS: usize = 6;
+
+/// Delta rows a lane claims per step of the delta scan: large enough to
+/// amortize the shared counter, small enough to spread a full delta
+/// (one leaf, 20,000 rows by default) across the pool lanes.
+const DELTA_CHUNK: usize = 256;
 
 /// Counters describing how much work one query performed — the raw
 /// material for the paper's pruning-power discussion (§V-E).
@@ -882,6 +895,8 @@ impl<S: Summarization> Index<S> {
 
         // --- Phase 2: collect unpruned leaves into priority queues.
         let push_counter = AtomicUsize::new(0);
+        // Delta rows are claimed in chunks off this counter (phase 4).
+        let next_delta = AtomicUsize::new(0);
         if serial {
             {
                 let mut lane_scratch = s.lanes[0].lock();
@@ -909,6 +924,7 @@ impl<S: Summarization> Index<S> {
                     0, &s.q, &s.queues, &s.done, ctx, pb, filter, stats, cancel,
                 );
             }
+            self.scan_delta(&next_delta, &s.q, ctx, pb, filter, stats, cancel);
             return;
         }
         // Pool lanes claim subtrees off an atomic counter.
@@ -936,12 +952,14 @@ impl<S: Summarization> Index<S> {
             }
         });
 
-        // --- Phase 3: refine from the queues, one lane per worker slot.
+        // --- Phase 3: refine from the queues, one lane per worker slot;
+        // --- phase 4: each lane then joins the delta scan.
         if !fired(cancel) {
             self.pool.broadcast(|worker| {
                 self.refine_from_queues(
                     worker, &s.q, &s.queues, &s.done, ctx, pb, filter, stats, cancel,
                 );
+                self.scan_delta(&next_delta, &s.q, ctx, pb, filter, stats, cancel);
             });
         }
     }
@@ -1056,27 +1074,15 @@ impl<S: Summarization> Index<S> {
         loop {
             match &node.kind {
                 NodeKind::Leaf { rows, pack } => {
-                    if let Some(pack) = pack {
-                        // Packed leaf: stream the contiguous arena run.
-                        let start = pack.start as usize;
-                        for i in 0..rows.len() {
-                            let slot = start + i;
-                            let row = self.slot_to_row[slot];
-                            if !admits(row) {
-                                continue;
-                            }
+                    // Stream the leaf's contiguous arena run. An abandoned
+                    // distance (> bound) is rejected by the policy's offer
+                    // anyway, so no exactness hazard here.
+                    let start = pack.as_ref().expect("built trees pack every leaf").start as usize;
+                    for slot in start..start + rows.len() {
+                        let row = self.slot_to_row[slot];
+                        if admits(row) {
                             pb.score_and_offer(q, self.series_at_slot(slot), row);
                         }
-                        return;
-                    }
-                    for &row in rows {
-                        if !admits(row) {
-                            continue;
-                        }
-                        // An abandoned distance (> bound) is rejected by
-                        // the policy's offer anyway, so no exactness
-                        // hazard here.
-                        pb.score_and_offer(q, self.series(row as usize), row);
                     }
                     return;
                 }
@@ -1097,9 +1103,7 @@ impl<S: Summarization> Index<S> {
     /// prices the top levels of internal nodes 8 per dispatched kernel
     /// call, where each pruned lane retires its entire descendant leaf
     /// range; finally the surviving leaf-fringe lanes are priced 8 per
-    /// call (whole groups abandoning mid-sum against the bound). Lanes
-    /// left stale by online splits — and subtrees without a block — fall
-    /// back to the scalar DFS.
+    /// call (whole groups abandoning mid-sum against the bound).
     ///
     /// Collect is filter-agnostic: node bounds hold for every row under a
     /// node, admitted or not, so pruning decisions are unchanged and the
@@ -1140,24 +1144,7 @@ impl<S: Summarization> Index<S> {
                 return;
             }
         }
-        let Some(cb) = &subtree.collect else {
-            let stack = &mut lane_scratch.stack;
-            stack.clear();
-            stack.push(0);
-            self.collect_dfs(
-                subtree,
-                subtree_idx,
-                ctx,
-                Some(root_bound),
-                pb,
-                queues,
-                push_counter,
-                stack,
-                stats,
-                cancel,
-            );
-            return;
-        };
+        let cb = subtree.collect.as_ref().expect("multi-node subtrees carry a collect block");
         let mut lbs = [0.0f32; BLOCK_LANES];
 
         // --- Level sweep (deep subtrees only): price the top levels of
@@ -1213,7 +1200,7 @@ impl<S: Summarization> Index<S> {
         }
 
         // --- Leaf-fringe sweep over the survivors.
-        let LaneScratch { stack, dead, dead_in_group } = lane_scratch;
+        let LaneScratch { dead, dead_in_group } = lane_scratch;
         #[allow(clippy::needless_range_loop)] // g also derives the lane base
         for g in 0..cb.block.n_groups() {
             // Cancellation checkpoint at group-sweep granularity.
@@ -1246,83 +1233,11 @@ impl<S: Summarization> Index<S> {
                     continue;
                 }
                 let id = cb.node_ids[base + i];
-                match &subtree.nodes[id as usize].kind {
-                    NodeKind::Leaf { rows, .. } => {
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        push_leaf(lbd, subtree_idx, id, queues, push_counter);
-                        stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    NodeKind::Inner { left, right, .. } => {
-                        // Stale lane: this leaf split after the block was
-                        // built. Its lane bound (the parent interval)
-                        // stayed valid for the descendants; finish them
-                        // with a scalar descent.
-                        stack.clear();
-                        stack.push(*left);
-                        stack.push(*right);
-                        self.collect_dfs(
-                            subtree,
-                            subtree_idx,
-                            ctx,
-                            None,
-                            pb,
-                            queues,
-                            push_counter,
-                            stack,
-                            stats,
-                            cancel,
-                        );
-                    }
+                if subtree.nodes[id as usize].rows().is_empty() {
+                    continue;
                 }
-            }
-        }
-    }
-
-    /// Scalar collect DFS over a pre-seeded `stack` of node ids: the
-    /// fallback for subtrees without a collect block and for stale
-    /// post-split lanes. `root_bound` supplies node 0's precomputed
-    /// [`RootLbd`] evaluation when the DFS starts at the subtree root.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_dfs<B: PruneBound>(
-        &self,
-        subtree: &Subtree,
-        subtree_idx: u32,
-        ctx: &QueryContext<'_>,
-        root_bound: Option<f32>,
-        pb: &B,
-        queues: &[Mutex<LeafQueue>],
-        push_counter: &AtomicUsize,
-        stack: &mut Vec<u32>,
-        stats: &AtomicStats,
-        cancel: Option<&CancelToken>,
-    ) {
-        while let Some(id) = stack.pop() {
-            if fired(cancel) {
-                return;
-            }
-            let node = &subtree.nodes[id as usize];
-            let lbd = match (id, root_bound) {
-                (0, Some(b)) => b,
-                _ => mindist_node(ctx, &node.prefixes, &node.bits),
-            };
-            if pb.prunes(lbd) {
-                stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            match &node.kind {
-                NodeKind::Leaf { rows, .. } => {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    push_leaf(lbd, subtree_idx, id, queues, push_counter);
-                    stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
-                }
-                NodeKind::Inner { left, right, .. } => {
-                    stack.push(*left);
-                    stack.push(*right);
-                }
+                push_leaf(lbd, subtree_idx, id, queues, push_counter);
+                stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -1387,12 +1302,9 @@ impl<S: Summarization> Index<S> {
     /// Evaluates every series in a leaf: lower bounds first, exact scores
     /// only for survivors; both early-abandon on the policy's threshold.
     ///
-    /// Packed leaves (the bulk-built common case) take the batched path:
-    /// the block kernel lower-bounds 8 candidates per call over the SoA
-    /// word block, then exact distances stream over the leaf's contiguous
-    /// arena run. Leaves touched by online inserts fall back to the
-    /// per-row path until [`Index::repack_leaves`] (which the auto-repack
-    /// trigger runs for you by default).
+    /// Every leaf is packed: the block kernel lower-bounds 8 candidates
+    /// per call over the SoA word block, then exact distances stream over
+    /// the leaf's contiguous arena run.
     #[allow(clippy::too_many_arguments)]
     fn refine_leaf<B: PruneBound>(
         &self,
@@ -1411,25 +1323,18 @@ impl<S: Summarization> Index<S> {
         let subtree = &self.subtrees[entry.subtree as usize];
         let node = &subtree.nodes[entry.node as usize];
         stats.leaves_refined.fetch_add(1, Ordering::Relaxed);
-        match &node.kind {
-            NodeKind::Leaf { rows, pack: Some(pack) } => {
-                self.refine_leaf_packed(
-                    pack,
-                    rows.len(),
-                    q,
-                    ctx,
-                    pb,
-                    filter,
-                    stats,
-                    qscratch,
-                    cancel,
-                );
-            }
-            NodeKind::Leaf { rows, pack: None } => {
-                self.refine_leaf_rows(rows, q, ctx, pb, filter, stats);
-            }
-            NodeKind::Inner { .. } => unreachable!("queues only hold leaves"),
-        }
+        let pack = node.pack().expect("queues hold packed leaves only");
+        self.refine_leaf_packed(
+            pack,
+            node.rows().len(),
+            q,
+            ctx,
+            pb,
+            filter,
+            stats,
+            qscratch,
+            cancel,
+        );
     }
 
     /// The batched refinement path over a packed leaf — a three-stage
@@ -1610,41 +1515,58 @@ impl<S: Summarization> Index<S> {
         stats.refine_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// The per-row fallback path (leaves invalidated by online inserts).
-    fn refine_leaf_rows<B: PruneBound>(
+    /// Scans the delta — rows inserted since the last fold — through the
+    /// policy: word lower bound first, the exact kernel only for rows it
+    /// cannot prune. Lanes claim [`DELTA_CHUNK`] rows at a time off
+    /// `next`, so the serial path and every pool lane share one routine;
+    /// cancellation is checked per chunk.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_delta<B: PruneBound>(
         &self,
-        rows: &[u32],
+        next: &AtomicUsize,
         q: &[f32],
         ctx: &QueryContext<'_>,
         pb: &B,
         filter: Option<&RowFilter>,
         stats: &AtomicStats,
+        cancel: Option<&CancelToken>,
     ) {
-        let mut refined = 0usize;
+        let rows = self.delta.rows;
+        if rows == 0 {
+            return;
+        }
+        let (data, words) = self.delta_slices();
+        let (n, l) = (self.series_len, self.word_len);
+        let first_row = self.slot_to_row.len();
         let mut checked = 0usize;
+        let mut refined = 0usize;
         let mut predicate_masked = 0usize;
-        for &row in rows {
-            if let Some(f) = filter {
-                if !f.admits(row as usize) {
+        while !fired(cancel) {
+            let lo = next.fetch_add(DELTA_CHUNK, Ordering::Relaxed);
+            if lo >= rows {
+                break;
+            }
+            for i in lo..(lo + DELTA_CHUNK).min(rows) {
+                let row = first_row + i;
+                if filter.is_some_and(|f| !f.admits(row)) {
                     predicate_masked += 1;
                     continue;
                 }
+                checked += 1;
+                let lbd = mindist_simd(ctx, &words[i * l..(i + 1) * l], pb.l2_bound());
+                if pb.prunes(lbd) {
+                    continue;
+                }
+                refined += 1;
+                // Lossless: insert rejects rows past the u32 id space.
+                pb.score_and_offer(q, &data[i * n..(i + 1) * n], row as u32);
             }
-            checked += 1;
-            let bound = pb.l2_bound();
-            let lbd = mindist_simd(ctx, self.word(row as usize), bound);
-            if pb.prunes(lbd) {
-                continue;
-            }
-            refined += 1;
-            pb.score_and_offer(q, self.series(row as usize), row);
         }
         stats.series_lbd_checked.fetch_add(checked, Ordering::Relaxed);
         stats.series_refined.fetch_add(refined, Ordering::Relaxed);
         stats.predicate_lanes_masked.fetch_add(predicate_masked, Ordering::Relaxed);
         // Per-row traffic: one symbol word per row plus the exact rows.
-        let bytes = checked * self.word_len + refined * self.series_len * 4;
-        stats.refine_bytes.fetch_add(bytes, Ordering::Relaxed);
+        stats.refine_bytes.fetch_add(checked * l + refined * n * 4, Ordering::Relaxed);
     }
 }
 

@@ -4,7 +4,7 @@
 //! Before this module existed, every `knn` call allocated its
 //! `QueryContext` (values/weights/tables), a query-word buffer, a
 //! [`RootLbd`] penalty table, a k-NN heap, one priority queue per
-//! refinement lane, and a DFS stack per subtree — a dozen heap
+//! refinement lane, and per-lane collect state — a dozen heap
 //! allocations per query that dominate short-series serving (the
 //! ROADMAP's "normalize + DFT + queue setup" fixed cost). A
 //! [`QueryScratch`] owns all of those buffers with no lifetimes attached,
@@ -51,14 +51,12 @@ impl PartialOrd for QueueEntry {
 /// One refinement queue: a min-queue on leaf lower bound.
 pub(crate) type LeafQueue = BinaryHeap<Reverse<QueueEntry>>;
 
-/// Per-pool-lane collect-phase working state: the DFS stack of the scalar
-/// fallback paths and the dead-lane markers of the hierarchy sweep (one
-/// flag per leaf-fringe lane of the subtree currently being priced). Both
-/// keep their capacity across queries, so warm queries never allocate.
+/// Per-pool-lane collect-phase working state: the dead-lane markers of
+/// the hierarchy sweep (one flag per leaf-fringe lane of the subtree
+/// currently being priced). They keep their capacity across queries, so
+/// warm queries never allocate.
 #[derive(Default)]
 pub(crate) struct LaneScratch {
-    /// Scalar collect-DFS stack (blockless subtrees, stale lanes).
-    pub stack: Vec<u32>,
     /// Fringe lanes retired by a pruned ancestor level lane.
     pub dead: Vec<bool>,
     /// Dead-lane count per fringe kernel group — the O(1) whole-group
@@ -114,8 +112,8 @@ pub(crate) struct QueryScratch {
     pub queues: Vec<Mutex<LeafQueue>>,
     /// Per-queue abandon flags for the refinement phase.
     pub done: Vec<AtomicBool>,
-    /// Per-lane collect-phase state (DFS stack + dead-lane markers; one
-    /// per pool lane; each lane locks only its own, so the locks are
+    /// Per-lane collect-phase state (dead-lane markers; one per pool
+    /// lane; each lane locks only its own, so the locks are
     /// uncontended).
     pub lanes: Vec<Mutex<LaneScratch>>,
 }

@@ -4,10 +4,11 @@
 //! [`Index::open`] can serve straight out of a memory mapping with zero
 //! deserialization of the two big arenas (series data, words) — the
 //! FAISS-style "attach, don't rebuild" pattern. Small structures (tree
-//! topology, leaf packs, collect blocks, quantizer) are rehydrated into
-//! their owned in-memory forms; they are a small fraction of the file.
+//! topology, leaf packs, collect blocks, quantizer, insert delta) are
+//! rehydrated into their owned in-memory forms; they are a small fraction
+//! of the file.
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -24,7 +25,19 @@
 //! ```
 //!
 //! Sections follow, each 64-byte aligned (so mapped `f32`/`u32` arenas
-//! are always correctly aligned) and independently checksummed. Every
+//! are always correctly aligned) and independently checksummed. The
+//! `delta` section, present when the delta is not empty, holds the rows
+//! inserted since the last fold (their z-normalized values, then their
+//! words), which reopen with the same row ids.
+//!
+//! Version 1 files — written before the delta existed, when inserts
+//! split leaves in place — still open. They carry no delta; instead, the
+//! meta section has an auto-repack field where version 2 has the delta
+//! row count, and the tree section has a per-subtree stale-leaf count
+//! and a per-leaf has-pack flag. A version-1 file whose leaf layout
+//! in-place inserts had left stale (a non-zero stale count or an
+//! unpacked leaf) is folded once at open: the forest is regrown from the
+//! stored words and every leaf is packed, so it answers exactly. Every
 //! validation — magic, version, endianness, header checksum, section
 //! bounds, section checksums, layout parameters, structural invariants —
 //! runs **before** any pointer into the mapping is formed or any decoded
@@ -41,6 +54,7 @@
 
 use crate::arena::Arena;
 use crate::config::IndexConfig;
+use crate::insert::Delta;
 use crate::node::{CollectBlock, LeafPack, LevelLanes, Node, NodeKind, Subtree};
 use crate::{Index, IndexError};
 use sofa_exec::{failpoint, ExecPool};
@@ -57,8 +71,11 @@ use std::sync::Arc;
 
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
-/// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+/// The format version this build writes. It also opens version 1 files
+/// (see the module docs).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// The oldest format version this build still opens.
+const MIN_READ_VERSION: u32 = 1;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -78,6 +95,7 @@ const SEC_TREE: u32 = 6;
 const SEC_PACKS: u32 = 7;
 const SEC_COLLECT: u32 = 8;
 const SEC_QUANT: u32 = 9;
+const SEC_DELTA: u32 = 10;
 
 fn section_name(id: u32) -> &'static str {
     match id {
@@ -90,6 +108,7 @@ fn section_name(id: u32) -> &'static str {
         SEC_PACKS => "leaf-packs",
         SEC_COLLECT => "collect",
         SEC_QUANT => "quant",
+        SEC_DELTA => "delta",
         _ => "unknown",
     }
 }
@@ -553,8 +572,11 @@ pub struct SectionInfo {
 /// snapshot without opening it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotCapabilities {
-    /// Rows (series) held by the index.
+    /// Rows (series) held by the index, tree and delta.
     pub n_rows: usize,
+    /// Of those, rows inserted since the last fold (served by the delta
+    /// scan until the next fold).
+    pub delta_rows: usize,
     /// Points per series.
     pub series_len: usize,
     /// Symbols per summarized word.
@@ -608,9 +630,10 @@ fn header_u64(bytes: &[u8], off: usize) -> Result<u64, IndexError> {
 }
 
 /// Validates magic, version, endianness, the header checksum, and every
-/// section's bounds and checksum. Returns the summarization kind and the
-/// verified table. Nothing in the file is trusted before this returns.
-fn parse_and_verify(bytes: &[u8]) -> Result<(u32, Vec<SectionEntry>), IndexError> {
+/// section's bounds and checksum. Returns the format version, the
+/// summarization kind and the verified table. Nothing in the file is
+/// trusted before this returns.
+fn parse_and_verify(bytes: &[u8]) -> Result<(u32, u32, Vec<SectionEntry>), IndexError> {
     if bytes.len() < HEADER_FIXED {
         return Err(fmt_err(
             "header",
@@ -621,11 +644,12 @@ fn parse_and_verify(bytes: &[u8]) -> Result<(u32, Vec<SectionEntry>), IndexError
         return Err(fmt_err("header", "bad magic — not a SOFA snapshot"));
     }
     let version = header_u32(bytes, 8)?;
-    if version != SNAPSHOT_FORMAT_VERSION {
+    if !(MIN_READ_VERSION..=SNAPSHOT_FORMAT_VERSION).contains(&version) {
         return Err(fmt_err(
             "header",
             format!(
-                "unsupported format version {version} (this build reads {SNAPSHOT_FORMAT_VERSION})"
+                "unsupported format version {version} (this build reads \
+                 {MIN_READ_VERSION}..={SNAPSHOT_FORMAT_VERSION})"
             ),
         ));
     }
@@ -676,7 +700,7 @@ fn parse_and_verify(bytes: &[u8]) -> Result<(u32, Vec<SectionEntry>), IndexError
         }
         entries.push(SectionEntry { id, offset, len, checksum });
     }
-    Ok((kind, entries))
+    Ok((version, kind, entries))
 }
 
 fn section_slice<'a>(
@@ -701,10 +725,10 @@ fn section_slice<'a>(
 /// *contents* are only fully validated by [`Index::open`]).
 pub fn describe<P: AsRef<Path>>(path: P) -> Result<SnapshotInfo, IndexError> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read", &e))?;
-    let (kind, entries) = parse_and_verify(&bytes)?;
-    let meta = decode_meta(section_slice(&bytes, &entries, SEC_META)?)?;
+    let (version, kind, entries) = parse_and_verify(&bytes)?;
+    let meta = decode_meta(section_slice(&bytes, &entries, SEC_META)?, version)?;
     Ok(SnapshotInfo {
-        format_version: SNAPSHOT_FORMAT_VERSION,
+        format_version: version,
         summarization_kind: kind,
         file_len: u64_of(bytes.len()),
         sections: entries
@@ -718,7 +742,8 @@ pub fn describe<P: AsRef<Path>>(path: P) -> Result<SnapshotInfo, IndexError> {
             })
             .collect(),
         capabilities: SnapshotCapabilities {
-            n_rows: meta.n_slots,
+            n_rows: meta.n_slots + meta.delta_rows,
+            delta_rows: meta.delta_rows,
             series_len: meta.series_len,
             word_len: meta.word_len,
             leaf_capacity: meta.leaf_capacity,
@@ -849,8 +874,12 @@ impl<S: SnapshotSummarization> Index<S> {
         let mut summ = Vec::new();
         self.summarization.encode_summarization(&mut summ);
         sections.push((SEC_SUMM, SecPayload::Owned(summ)));
-        sections.push((SEC_DATA, SecPayload::Borrowed(sofa_mmap::as_bytes(&self.data[..]))));
-        sections.push((SEC_WORDS, SecPayload::Borrowed(&self.words[..])));
+        // The arenas may end with the delta's rows; the data and words
+        // sections hold the tree's rows only.
+        let tree_rows = self.slot_to_row.len();
+        let data = &self.data[..tree_rows * self.series_len];
+        sections.push((SEC_DATA, SecPayload::Borrowed(sofa_mmap::as_bytes(data))));
+        sections.push((SEC_WORDS, SecPayload::Borrowed(&self.words[..tree_rows * self.word_len])));
         let mut mapping = Vec::with_capacity(8 * self.row_to_slot.len());
         put_u32_slice(&mut mapping, &self.row_to_slot);
         put_u32_slice(&mut mapping, &self.slot_to_row);
@@ -860,6 +889,13 @@ impl<S: SnapshotSummarization> Index<S> {
         sections.push((SEC_COLLECT, SecPayload::Owned(self.encode_collect())));
         if self.quant_grid.is_some() {
             sections.push((SEC_QUANT, SecPayload::Owned(self.encode_quant())));
+        }
+        if self.delta.rows > 0 {
+            let (data, words) = self.delta_slices();
+            let mut delta = Vec::with_capacity(4 * data.len() + words.len());
+            put_f32_slice(&mut delta, data);
+            delta.extend_from_slice(words);
+            sections.push((SEC_DELTA, SecPayload::Owned(delta)));
         }
         sections
     }
@@ -872,16 +908,7 @@ impl<S: SnapshotSummarization> Index<S> {
         put_len(&mut out, self.config.leaf_capacity);
         put_len(&mut out, self.config.collect_levels);
         put_len(&mut out, self.subtrees.len());
-        match self.config.auto_repack_pct {
-            Some(pct) => {
-                put_u8(&mut out, 1);
-                put_u32(&mut out, pct);
-            }
-            None => {
-                put_u8(&mut out, 0);
-                put_u32(&mut out, 0);
-            }
-        }
+        put_len(&mut out, self.delta.rows);
         put_u8(&mut out, u8::from(self.config.quant_refine));
         put_u8(&mut out, u8::from(self.quant_enabled.load(Ordering::Relaxed)));
         put_u8(&mut out, u8::from(self.quant_grid.is_some()));
@@ -894,17 +921,15 @@ impl<S: SnapshotSummarization> Index<S> {
         let mut out = Vec::new();
         for st in &self.subtrees {
             put_u64(&mut out, st.key);
-            put_len(&mut out, st.stale_leaves);
             put_len(&mut out, st.nodes.len());
             for node in &st.nodes {
                 out.extend_from_slice(&node.prefixes);
                 out.extend_from_slice(&node.bits);
                 match &node.kind {
-                    NodeKind::Leaf { rows, pack } => {
+                    NodeKind::Leaf { rows, .. } => {
                         put_u8(&mut out, 0);
                         put_len(&mut out, rows.len());
                         put_u32_slice(&mut out, rows);
-                        put_u8(&mut out, u8::from(pack.is_some()));
                     }
                     NodeKind::Inner { left, right, split_pos } => {
                         put_u8(&mut out, 1);
@@ -1007,13 +1032,14 @@ fn encode_node_block(out: &mut Vec<u8>, block: &NodeBlock) {
 // Open (read) side.
 
 struct Meta {
+    version: u32,
     series_len: usize,
     word_len: usize,
     n_slots: usize,
     leaf_capacity: usize,
     collect_levels: usize,
     n_subtrees: usize,
-    auto_repack_pct: Option<u32>,
+    delta_rows: usize,
     quant_refine: bool,
     quant_enabled: bool,
     grid_present: bool,
@@ -1028,7 +1054,7 @@ fn decode_flag(r: &mut SectionReader<'_>, what: &str) -> Result<bool, IndexError
     }
 }
 
-fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
+fn decode_meta(buf: &[u8], version: u32) -> Result<Meta, IndexError> {
     let mut r = SectionReader::new(buf, "meta");
     let series_len = r.count()?;
     let word_len = r.count()?;
@@ -1036,8 +1062,14 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
     let leaf_capacity = r.count()?;
     let collect_levels = r.count()?;
     let n_subtrees = r.count()?;
-    let has_auto = decode_flag(&mut r, "auto-repack")?;
-    let auto_pct = r.u32()?;
+    let delta_rows = if version == 1 {
+        // The retired auto-repack knob: a flag and a percentage.
+        decode_flag(&mut r, "auto-repack")?;
+        r.u32()?;
+        0
+    } else {
+        r.count()?
+    };
     let quant_refine = decode_flag(&mut r, "quant-refine")?;
     let quant_enabled = decode_flag(&mut r, "quant-enabled")?;
     let grid_present = decode_flag(&mut r, "grid-present")?;
@@ -1067,14 +1099,24 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
             format!("implausible subtree count {n_subtrees} for {n_slots} rows"),
         ));
     }
+    if delta_rows >= leaf_capacity {
+        return Err(layout(
+            "meta",
+            format!("a delta of {delta_rows} rows should have folded at {leaf_capacity}"),
+        ));
+    }
+    if u64_of(n_slots) + u64_of(delta_rows) > u64::from(u32::MAX) {
+        return Err(layout("meta", "tree and delta rows exceed the u32 row-id space"));
+    }
     Ok(Meta {
+        version,
         series_len,
         word_len,
         n_slots,
         leaf_capacity,
         collect_levels,
         n_subtrees,
-        auto_repack_pct: has_auto.then_some(auto_pct),
+        delta_rows,
         quant_refine,
         quant_enabled,
         grid_present,
@@ -1135,18 +1177,18 @@ fn validate_tree_shape(nodes: &[Node]) -> Result<(), String> {
     Ok(())
 }
 
-/// Decodes the forest. Returns the subtrees (packs unattached) plus the
-/// (subtree, node) positions of leaves whose packs follow in the
-/// leaf-packs section, in file order.
-#[allow(clippy::type_complexity)]
+/// Decodes the forest (packs unattached). Also returns whether the file
+/// is a version-1 snapshot whose leaf layout in-place inserts had left
+/// stale (a non-zero stale-leaf count or an unpacked leaf), which `open`
+/// folds instead of decoding its packs, collect blocks and codes.
 fn decode_tree(
     buf: &[u8],
     meta: &Meta,
     symbol_bits: u8,
-) -> Result<(Vec<Subtree>, Vec<(usize, usize)>), IndexError> {
+) -> Result<(Vec<Subtree>, bool), IndexError> {
     let mut r = SectionReader::new(buf, "tree");
     let mut subtrees = Vec::with_capacity(meta.n_subtrees);
-    let mut packed = Vec::new();
+    let mut stale = false;
     let mut seen_rows = vec![false; meta.n_slots];
     let mut prev_key = None;
     for si in 0..meta.n_subtrees {
@@ -1155,7 +1197,9 @@ fn decode_tree(
             return Err(r.invalid("subtree keys are not strictly ascending"));
         }
         prev_key = Some(key);
-        let stale_leaves = r.count()?;
+        if meta.version == 1 {
+            stale |= r.count()? > 0;
+        }
         let n_nodes = r.bounded_count(2 * meta.word_len + 1)?;
         if n_nodes == 0 {
             return Err(r.invalid(format!("subtree {si} has no nodes")));
@@ -1183,8 +1227,8 @@ fn decode_tree(
                         }
                         seen_rows[row] = true;
                     }
-                    if decode_flag(&mut r, "has-pack")? {
-                        packed.push((si, ni));
+                    if meta.version == 1 {
+                        stale |= !decode_flag(&mut r, "has-pack")?;
                     }
                     NodeKind::Leaf { rows, pack: None }
                 }
@@ -1210,33 +1254,40 @@ fn decode_tree(
             nodes.push(Node { prefixes, bits, kind });
         }
         validate_tree_shape(&nodes).map_err(|d| corrupt("tree", format!("subtree {si}: {d}")))?;
-        subtrees.push(Subtree { key, nodes, collect: None, stale_leaves });
+        subtrees.push(Subtree { key, nodes, collect: None });
     }
     r.finish()?;
     if let Some(row) = seen_rows.iter().position(|&s| !s) {
         return Err(corrupt("tree", format!("row {row} is missing from every leaf")));
     }
-    Ok((subtrees, packed))
+    Ok((subtrees, stale))
+}
+
+/// Every leaf's (rows, pack) slot, in file order: the leaf-packs and quant
+/// sections carry one entry per leaf, forest order.
+fn leaves_mut(
+    subtrees: &mut [Subtree],
+) -> impl Iterator<Item = (&Vec<u32>, &mut Option<LeafPack>)> {
+    subtrees.iter_mut().flat_map(|st| st.nodes.iter_mut()).filter_map(|node| match &mut node.kind {
+        NodeKind::Leaf { rows, pack } => Some((&*rows, pack)),
+        NodeKind::Inner { .. } => None,
+    })
 }
 
 fn decode_packs(
     buf: &[u8],
     meta: &Meta,
-    packed: &[(usize, usize)],
     subtrees: &mut [Subtree],
     slot_to_row: &[u32],
 ) -> Result<(), IndexError> {
     let mut r = SectionReader::new(buf, "leaf-packs");
-    for &(si, ni) in packed {
+    for (rows, pack) in leaves_mut(subtrees) {
         let start = r.u32()?;
         let n = r.count()?;
         let bounds_len = r.bounded_count(4)?;
         let bounds = r.f32_vec(bounds_len)?;
         let block = WordBlock::from_raw_parts(n, meta.word_len, bounds)
             .map_err(|d| corrupt("leaf-packs", d))?;
-        let NodeKind::Leaf { rows, pack } = &mut subtrees[si].nodes[ni].kind else {
-            return Err(corrupt("leaf-packs", "pack attached to a non-leaf node"));
-        };
         if n != rows.len() {
             return Err(corrupt(
                 "leaf-packs",
@@ -1282,10 +1333,17 @@ fn decode_one_node_block(
 fn decode_collect(buf: &[u8], meta: &Meta, subtrees: &mut [Subtree]) -> Result<(), IndexError> {
     let mut r = SectionReader::new(buf, "collect");
     for (si, subtree) in subtrees.iter_mut().enumerate() {
-        if !decode_flag(&mut r, "has-collect")? {
+        let n_nodes = subtree.nodes.len();
+        // The query path prices single-node subtrees by their key alone
+        // and every deeper one through its block.
+        if decode_flag(&mut r, "has-collect")? != (n_nodes > 1) {
+            return Err(r.invalid(format!(
+                "subtree {si} of {n_nodes} nodes has the wrong collect-block presence"
+            )));
+        }
+        if n_nodes == 1 {
             continue;
         }
-        let n_nodes = subtree.nodes.len();
         let n_fringe = r.bounded_count(4)?;
         let node_ids = r.u32_vec(n_fringe)?;
         for &id in &node_ids {
@@ -1347,7 +1405,6 @@ fn decode_collect(buf: &[u8], meta: &Meta, subtrees: &mut [Subtree]) -> Result<(
 fn decode_quant(
     buf: &[u8],
     meta: &Meta,
-    packed: &[(usize, usize)],
     subtrees: &mut [Subtree],
 ) -> Result<QuantGrid, IndexError> {
     let mut r = SectionReader::new(buf, "quant");
@@ -1365,12 +1422,11 @@ fn decode_quant(
         ));
     }
     let n_packs = r.count()?;
-    if n_packs != packed.len() {
-        return Err(
-            r.invalid(format!("{n_packs} quant entries for {} packed leaves", packed.len()))
-        );
+    let n_leaves = leaves_mut(subtrees).count();
+    if n_packs != n_leaves {
+        return Err(r.invalid(format!("{n_packs} quant entries for {n_leaves} leaves")));
     }
-    for &(si, ni) in packed {
+    for (rows, pack) in leaves_mut(subtrees) {
         if !decode_flag(&mut r, "has-quant")? {
             continue;
         }
@@ -1380,8 +1436,8 @@ fn decode_quant(
         let errs_len = r.bounded_count(8)?;
         let errs = r.f64_vec(errs_len)?;
         let qb = QuantBlock::from_parts(&grid, n, codes, errs).map_err(|d| corrupt("quant", d))?;
-        let NodeKind::Leaf { rows, pack: Some(pack) } = &mut subtrees[si].nodes[ni].kind else {
-            return Err(corrupt("quant", "quant codes attached to an unpacked node"));
+        let Some(pack) = pack else {
+            return Err(corrupt("quant", "quant codes attached to an unpacked leaf"));
         };
         if n != rows.len() {
             return Err(corrupt(
@@ -1428,7 +1484,7 @@ impl<S: SnapshotSummarization> Index<S> {
         // let the kernel read ahead aggressively for that pass.
         map.advise(Advice::Sequential);
         let bytes = map.as_bytes();
-        let (kind, entries) = parse_and_verify(bytes)?;
+        let (version, kind, entries) = parse_and_verify(bytes)?;
         if kind != S::KIND {
             return Err(fmt_err(
                 "header",
@@ -1436,7 +1492,7 @@ impl<S: SnapshotSummarization> Index<S> {
             ));
         }
 
-        let meta = decode_meta(section_slice(bytes, &entries, SEC_META)?)?;
+        let meta = decode_meta(section_slice(bytes, &entries, SEC_META)?, version)?;
         let mut summ_reader =
             SectionReader::new(section_slice(bytes, &entries, SEC_SUMM)?, "summarization");
         let summarization = S::decode_summarization(&mut summ_reader)?;
@@ -1497,49 +1553,42 @@ impl<S: SnapshotSummarization> Index<S> {
 
         let (row_to_slot, slot_to_row) =
             decode_mapping(section_slice(bytes, &entries, SEC_MAPPING)?, &meta)?;
-        let (mut subtrees, packed) = decode_tree(
+        let (mut subtrees, stale) = decode_tree(
             section_slice(bytes, &entries, SEC_TREE)?,
             &meta,
             summarization.symbol_bits(),
         )?;
-        decode_packs(
-            section_slice(bytes, &entries, SEC_PACKS)?,
-            &meta,
-            &packed,
-            &mut subtrees,
-            &slot_to_row,
-        )?;
-        decode_collect(section_slice(bytes, &entries, SEC_COLLECT)?, &meta, &mut subtrees)?;
-        let quant_grid = if meta.grid_present {
-            let Ok(buf) = section_slice(bytes, &entries, SEC_QUANT) else {
-                return Err(layout(
-                    "quant",
-                    "meta declares a quantizer but the section is missing",
-                ));
-            };
-            Some(decode_quant(buf, &meta, &packed, &mut subtrees)?)
-        } else {
-            if section_slice(bytes, &entries, SEC_QUANT).is_ok() {
-                return Err(layout(
-                    "quant",
-                    "quant section present but meta declares no quantizer",
-                ));
-            }
+        // A stale version-1 layout is folded below, which rebuilds every
+        // pack, collect block and code from the validated arenas — so its
+        // own (inconsistent) blocks are never decoded.
+        let quant_grid = if stale {
             None
-        };
-
-        // Leaf bookkeeping is recomputed from the decoded tree rather
-        // than trusted from meta.
-        let mut total_leaves = 0usize;
-        let mut unpacked_leaves = 0usize;
-        for st in &subtrees {
-            for node in &st.nodes {
-                if let NodeKind::Leaf { pack, .. } = &node.kind {
-                    total_leaves += 1;
-                    unpacked_leaves += usize::from(pack.is_none());
+        } else {
+            decode_packs(
+                section_slice(bytes, &entries, SEC_PACKS)?,
+                &meta,
+                &mut subtrees,
+                &slot_to_row,
+            )?;
+            decode_collect(section_slice(bytes, &entries, SEC_COLLECT)?, &meta, &mut subtrees)?;
+            match (meta.grid_present, section_slice(bytes, &entries, SEC_QUANT)) {
+                (true, Ok(buf)) => Some(decode_quant(buf, &meta, &mut subtrees)?),
+                (false, Err(_)) => None,
+                (true, Err(_)) => {
+                    return Err(layout(
+                        "quant",
+                        "meta declares a quantizer but the section is missing",
+                    ))
+                }
+                (false, Ok(_)) => {
+                    return Err(layout(
+                        "quant",
+                        "quant section present but meta declares no quantizer",
+                    ))
                 }
             }
-        }
+        };
+        let delta = decode_delta(bytes, &entries, &meta)?;
 
         // Validation is done; from here on the mapping serves leaf
         // refinements, which land on arbitrary slot runs — sequential
@@ -1551,12 +1600,11 @@ impl<S: SnapshotSummarization> Index<S> {
             leaf_capacity: meta.leaf_capacity,
             num_threads: threads,
             num_queues: threads,
-            auto_repack_pct: meta.auto_repack_pct,
             collect_levels: meta.collect_levels,
             quant_refine: meta.quant_refine,
         };
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
-        Ok(Index {
+        let mut index = Index {
             summarization,
             config,
             pool,
@@ -1573,10 +1621,40 @@ impl<S: SnapshotSummarization> Index<S> {
             quant_grid,
             quant_enabled: AtomicBool::new(meta.quant_enabled),
             scratches: parking_lot::Mutex::new(Vec::with_capacity(threads + 2)),
-            unpacked_leaves,
-            total_leaves,
-        })
+            delta,
+        };
+        if stale {
+            index.fold();
+        }
+        Ok(index)
     }
+}
+
+/// Decodes the insert delta. The section is present exactly when meta
+/// declares delta rows (never in version-1 files, which predate it).
+fn decode_delta(bytes: &[u8], entries: &[SectionEntry], meta: &Meta) -> Result<Delta, IndexError> {
+    let Ok(buf) = section_slice(bytes, entries, SEC_DELTA) else {
+        if meta.delta_rows > 0 {
+            return Err(layout("delta", "meta declares delta rows but the section is missing"));
+        }
+        return Ok(Delta::default());
+    };
+    if meta.delta_rows == 0 {
+        return Err(layout("delta", "delta section present but meta declares no delta rows"));
+    }
+    let (rows, n, l) = (meta.delta_rows, meta.series_len, meta.word_len);
+    let expect = n.checked_mul(4).and_then(|b| b.checked_add(l)).and_then(|b| b.checked_mul(rows));
+    if expect != Some(buf.len()) {
+        return Err(layout(
+            "delta",
+            format!("{} bytes cannot hold {rows} rows of {n} values and {l} symbols", buf.len()),
+        ));
+    }
+    let mut r = SectionReader::new(buf, "delta");
+    let data = r.f32_vec(rows * n)?;
+    let words = r.byte_vec(rows * l)?;
+    r.finish()?;
+    Ok(Delta { data, words, rows, folds: 0 })
 }
 
 #[cfg(test)]
@@ -1678,7 +1756,7 @@ mod tests {
         }
         // The capability matrix reflects the built index's config.
         let caps = &info.capabilities;
-        assert_eq!(caps.n_rows, 300);
+        assert_eq!((caps.n_rows, caps.delta_rows), (300, 0));
         assert_eq!(caps.series_len, 64);
         assert_eq!(caps.word_len, 8);
         assert_eq!(caps.leaf_capacity, 25);
@@ -1773,11 +1851,37 @@ mod tests {
         idx.snapshot(&path).expect("snapshot");
         let mut opened = Index::<ISax>::open(&path).expect("open");
         assert!(opened.is_mapped());
-        let extra = dataset(20, 64);
-        opened.insert_all(&extra).expect("insert");
-        assert!(!opened.is_mapped(), "inserts must promote the arenas");
-        assert_eq!(opened.n_series(), 320);
+        // Inserts below the leaf capacity (25) only grow the delta: the
+        // arenas keep serving from the mapping.
+        let extra = dataset(30, 64);
+        opened.insert_all(&extra[..20 * 64]).expect("insert");
+        assert!(opened.is_mapped(), "inserts must not touch the mapped arenas");
+        assert_eq!((opened.n_series(), opened.stats().delta_rows), (320, 20));
         opened.knn(&extra[..64], 3).expect("query after insert");
+        // The insert that fills the delta folds it, copying the arenas.
+        opened.insert_all(&extra[20 * 64..]).expect("insert");
+        assert!(!opened.is_mapped(), "the fold must promote the arenas");
+        let s = opened.stats();
+        assert_eq!((s.n_series, s.delta_rows, s.folds), (330, 5, 1));
+        opened.knn(&extra[..64], 3).expect("query after fold");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn delta_round_trips_with_its_row_ids() {
+        let mut idx = sax_index(300);
+        let extra = dataset(7, 64);
+        idx.insert_all(&extra).expect("insert");
+        let path = tmp_path("delta");
+        idx.snapshot(&path).expect("snapshot");
+        assert_eq!(describe(&path).expect("describe").capabilities.delta_rows, 7);
+        let opened = Index::<ISax>::open(&path).expect("open");
+        assert_eq!((opened.n_series(), opened.stats().delta_rows), (307, 7));
+        for row in 0..307 {
+            assert_eq!(opened.series(row), idx.series(row), "row {row}");
+            assert_eq!(opened.word(row), idx.word(row), "row {row}");
+        }
+        assert_same_answers(&idx, &opened, &extra, 64);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -81,9 +81,8 @@ pub struct IndexStats {
     pub nodes: usize,
     /// Total leaves.
     pub leaves: usize,
-    /// Leaves with packed contiguous storage + word blocks (the fast
-    /// refinement path). `leaves - packed_leaves` fall back to per-row
-    /// refinement until [`Index::repack_leaves`].
+    /// Leaves with packed contiguous storage + word blocks. Built trees
+    /// are immutable and packed whole, so this always equals `leaves`.
     pub packed_leaves: usize,
     /// Mean leaf depth, root children = depth 0 (Figure 8 top).
     pub avg_depth: f64,
@@ -93,12 +92,17 @@ pub struct IndexStats {
     pub avg_leaf_size: f64,
     /// Largest leaf.
     pub max_leaf_size: usize,
-    /// Indexed series.
+    /// Indexed series (tree and delta).
     pub n_series: usize,
+    /// Rows inserted since the last fold: served by the delta scan, not
+    /// yet by the tree. Always below the leaf capacity.
+    pub delta_rows: usize,
+    /// Delta folds performed since the index was built or opened.
+    pub folds: u64,
     /// Whether the storage arenas are still served straight out of a
     /// memory-mapped snapshot ([`Index::open`](crate::Index::open));
-    /// `false` for built indexes and for opened indexes that a mutation
-    /// has copy-on-write promoted to owned storage.
+    /// `false` for built indexes and for opened indexes that a fold has
+    /// copy-on-write promoted to owned storage.
     pub mapped_storage: bool,
     /// The kernel tier serving this process's dispatched kernels
     /// (`"scalar"`, `"portable"` or `"avx2"`).
@@ -130,12 +134,10 @@ pub struct IndexStats {
     /// quant codes + exact rows) — the memory traffic the quantized tier
     /// cuts. `0.0` before the first query.
     pub refine_bytes_per_query: f64,
-    /// Percentage of leaves currently on the per-row fallback refinement
-    /// path (no packed storage / word block). With
-    /// [`crate::IndexConfig::auto_repack_pct`] set to `None`, insert-heavy
-    /// workloads grow this unboundedly and silently degrade to scalar
-    /// refinement — monitor it and call [`Index::repack_leaves`] (or the
-    /// incremental [`Index::repack_incremental`]) when it climbs.
+    /// Percentage of leaves without packed storage. Inserts go to the
+    /// delta and a fold packs every leaf, so this always reads `0`; the
+    /// field is kept so dashboards and benchmarks that track the health
+    /// gauge keep reading it. Watch `delta_rows` for unindexed rows.
     pub fallback_leaf_pct: f64,
 }
 
@@ -176,6 +178,8 @@ impl<S: Summarization> Index<S> {
             avg_leaf_size: if leaves == 0 { 0.0 } else { size_sum as f64 / leaves as f64 },
             max_leaf_size: max_leaf,
             n_series: self.n_series(),
+            delta_rows: self.delta.rows,
+            folds: self.delta.folds,
             mapped_storage: self.is_mapped(),
             kernel_tier: sofa_simd::active_tier().name(),
             queries_served: self.counters.queries.load(Ordering::Relaxed),
@@ -248,20 +252,24 @@ mod tests {
     #[test]
     fn fallback_leaf_pct_tracks_unpacked_leaves() {
         let sax = ISax::new(64, &SaxConfig { word_len: 8, alphabet: 256 });
-        let mut idx = Index::build(
-            sax,
-            &dataset(400, 64),
-            IndexConfig::with_threads(1).leaf_capacity(10).auto_repack_pct(None),
-        )
-        .unwrap();
-        assert_eq!(idx.stats().fallback_leaf_pct, 0.0);
-        idx.insert_all(&dataset(200, 64)).unwrap();
+        let mut idx =
+            Index::build(sax, &dataset(400, 64), IndexConfig::with_threads(1).leaf_capacity(10))
+                .unwrap();
         let s = idx.stats();
-        assert!(s.fallback_leaf_pct > 0.0, "inserts must surface fallback leaves: {s:?}");
+        assert_eq!((s.fallback_leaf_pct, s.delta_rows, s.folds), (0.0, 0, 0));
+        // 205 inserts into a 10-row delta: 20 folds, 5 rows left over.
+        idx.insert_all(&dataset(205, 64)).unwrap();
+        let s = idx.stats();
+        assert_eq!((s.delta_rows, s.folds, s.n_series), (5, 20, 605));
+        // The gauge still reports the unpacked share — which inserts no
+        // longer create: the delta holds the rows, the tree stays packed.
         let expect = 100.0 * (s.leaves - s.packed_leaves) as f64 / s.leaves as f64;
-        assert!((s.fallback_leaf_pct - expect).abs() < 1e-12);
+        assert_eq!((s.fallback_leaf_pct, expect), (0.0, 0.0), "the tree must stay packed: {s:?}");
+        let tree_rows: usize = idx.subtrees().iter().map(|t| t.n_rows()).sum();
+        assert_eq!(tree_rows + s.delta_rows, s.n_series);
         idx.repack_leaves();
-        assert_eq!(idx.stats().fallback_leaf_pct, 0.0);
+        let s = idx.stats();
+        assert_eq!((s.fallback_leaf_pct, s.delta_rows, s.folds), (0.0, 0, 21));
     }
 
     #[test]

@@ -246,19 +246,17 @@ fn query_errors() {
 fn quant_tier_is_exact_through_build_insert_and_repack() {
     // The quantized refine tier must change refine-phase traffic, never
     // results: with the tier on and off, every lifecycle phase — fresh
-    // build (packed leaves with codes), online inserts (stale per-row
-    // leaves, dropped codes), explicit repack (codes rebuilt) — must
-    // match brute force.
+    // build (packed leaves with codes), online inserts (four folds that
+    // re-encode under the kept grid, plus a partly full delta scanned
+    // beside the tree), explicit repack (the delta folded) — must match
+    // brute force.
     let n = 128;
     let data = znormed_dataset(900, n, 17);
     let extra = znormed_dataset(200, n, 7100);
     let queries = znormed_dataset(6, n, 8200);
     for quant in [true, false] {
         let sax = ISax::new(n, &SaxConfig { word_len: 16, alphabet: 256 });
-        let config = IndexConfig::with_threads(2)
-            .leaf_capacity(48)
-            .auto_repack_pct(None)
-            .quant_refine(quant);
+        let config = IndexConfig::with_threads(2).leaf_capacity(48).quant_refine(quant);
         let mut index = Index::build(sax, &data, config).expect("build");
         check_exactness(&index, &data, n, &queries);
 
@@ -272,14 +270,15 @@ fn quant_tier_is_exact_through_build_insert_and_repack() {
             assert_eq!(stats.quant_lanes_killed, 0);
         }
 
-        // Online inserts leave stale (pack-less) leaves: the funnel must
-        // fall back to per-row refinement for those and stay exact.
+        // Online inserts: 200 rows into a 48-row delta fold four times
+        // and leave 8 rows for the delta scan; both stay exact.
         index.insert_all(&extra).expect("insert");
+        assert_eq!((index.stats().folds, index.stats().delta_rows), (4, 8));
         let mut all = data.clone();
         all.extend_from_slice(&extra);
         check_exactness(&index, &all, n, &queries);
 
-        // Repack restores the packed layout (and the codes, when on).
+        // Repack folds the rest (codes rebuilt, when on).
         index.repack_leaves();
         check_exactness(&index, &all, n, &queries);
         let s = index.stats();

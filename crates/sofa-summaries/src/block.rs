@@ -316,10 +316,8 @@ impl NodeBlock {
     }
 
     /// Appends one node's resolved intervals as a new lane, preserving the
-    /// padding invariant (pad lanes mirror the last real lane). Used by
-    /// the index's split-time level patching: when an insert splits a node
-    /// at a depth this block covers, the new node's tighter label joins
-    /// the sweep immediately instead of waiting for the next repack.
+    /// padding invariant (pad lanes mirror the last real lane) — the same
+    /// block a batch build over the extended node list produces.
     ///
     /// When the last group is full a fresh group is appended (all 8 lanes
     /// the new node); otherwise the first pad lane is overwritten and the
@@ -451,23 +449,6 @@ impl LevelBlocks {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.levels.is_empty()
-    }
-
-    /// Appends one node's lane to an existing level's block (see
-    /// [`NodeBlock::push_lane`]). Only levels built at the last repack can
-    /// be patched — callers never grow the hierarchy here.
-    ///
-    /// # Panics
-    /// Panics if `level` is out of range or the label length differs from
-    /// the block's word length.
-    pub fn push_level_lane(
-        &mut self,
-        level: usize,
-        summarization: &dyn Summarization,
-        prefixes: &[u8],
-        bits: &[u8],
-    ) {
-        self.levels[level].push_lane(summarization, prefixes, bits);
     }
 
     /// The node block of one level (0 = the level just below the root).

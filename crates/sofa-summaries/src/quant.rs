@@ -258,19 +258,25 @@ impl QuantBlock {
         let groups = n.div_ceil(BLOCK_LANES);
         let mut codes = vec![0u8; groups * series_len * BLOCK_LANES];
         let mut errs = vec![0f64; groups * BLOCK_LANES];
-        let inv = 1.0 / f64::from(grid.scale);
+        let scale = f64::from(grid.scale);
+        let inv = 1.0 / scale;
+        let mins: Vec<f64> = grid.mins.iter().map(|&m| f64::from(m)).collect();
         for g in 0..groups {
             let base = g * series_len * BLOCK_LANES;
             for lane in 0..BLOCK_LANES {
                 let r = (g * BLOCK_LANES + lane).min(n - 1);
                 let row = &data[r * series_len..(r + 1) * series_len];
                 let mut err_sq = 0.0f64;
-                for (j, &x) in row.iter().enumerate() {
-                    let c = ((f64::from(x) - f64::from(grid.mins[j])) * inv).round();
-                    let c = c.clamp(0.0, 255.0);
-                    codes[base + j * BLOCK_LANES + lane] = if c.is_nan() { 0 } else { c as u8 };
-                    let rec = f64::from(grid.mins[j]) + c * f64::from(grid.scale);
-                    let d = f64::from(x) - rec;
+                for ((j, &x), &min) in row.iter().enumerate().zip(&mins) {
+                    // Round half up via truncation (the operand is clamped
+                    // into [0, 255.9] first) — a branch- and call-free
+                    // code; any code is sound because the error below is
+                    // measured against the code stored. A NaN value
+                    // stores code 0 and makes the error NaN, which
+                    // disables pruning for its row.
+                    let c = ((f64::from(x) - min) * inv + 0.5).clamp(0.0, 255.9) as u8;
+                    codes[base + j * BLOCK_LANES + lane] = c;
+                    let d = f64::from(x) - (min + f64::from(c) * scale);
                     err_sq += d * d;
                 }
                 errs[g * BLOCK_LANES + lane] = err_sq.sqrt() * ERR_INFLATION;

@@ -108,7 +108,6 @@ pub struct Builder {
     selection: CoefficientSelection,
     seed: u64,
     pool: Option<Arc<ExecPool>>,
-    auto_repack_pct: Option<u32>,
     collect_levels: usize,
     quant_refine: bool,
 }
@@ -127,7 +126,6 @@ impl Default for Builder {
             selection: CoefficientSelection::HighestVariance,
             seed: 0x50FA,
             pool: None,
-            auto_repack_pct: IndexConfig::default().auto_repack_pct,
             collect_levels: IndexConfig::default().collect_levels,
             quant_refine: IndexConfig::default().quant_refine,
         }
@@ -149,7 +147,9 @@ impl Builder {
         self
     }
 
-    /// Leaf capacity (default 20,000).
+    /// Leaf capacity (default 20,000). It also sizes the insert delta:
+    /// the insert that brings it to this many rows folds it into the
+    /// tree.
     #[must_use]
     pub fn leaf_capacity(mut self, cap: usize) -> Self {
         self.leaf_capacity = cap;
@@ -209,16 +209,6 @@ impl Builder {
         self
     }
 
-    /// Auto-repack threshold in percent: after an online insert, when
-    /// more than this share of leaves lost their packed layout, the index
-    /// repacks itself on its worker pool (default 25). `None` disables
-    /// the trigger — call `repack_leaves()` manually.
-    #[must_use]
-    pub fn auto_repack_pct(mut self, pct: Option<u32>) -> Self {
-        self.auto_repack_pct = pct;
-        self
-    }
-
     /// How many hierarchy levels the collect phase prices through level
     /// blocks before the leaf fringe — the deep-tree coarse prune. `0`
     /// restores the leaf-only collect sweep (useful for A/B benchmarks).
@@ -246,7 +236,6 @@ impl Builder {
         let lanes = self.pool.as_ref().map_or(self.threads, |p| p.threads());
         IndexConfig::with_threads(lanes)
             .leaf_capacity(self.leaf_capacity)
-            .auto_repack_pct(self.auto_repack_pct)
             .collect_levels(self.collect_levels)
             .quant_refine(self.quant_refine)
     }
@@ -632,8 +621,10 @@ macro_rules! forward_index_api {
                 self.inner.approximate_nn(query)
             }
 
-            /// Inserts one series online (iSAX-2.0-style leaf splitting),
-            /// returning its row id.
+            /// Inserts one series online, returning its row id. The row
+            /// joins the append-only delta that every query scans beside
+            /// the tree; the insert that fills the delta (leaf capacity
+            /// rows) folds it into a regrown, packed tree.
             ///
             /// # Errors
             /// Returns [`IndexError::BadQuery`] on a length mismatch.
@@ -650,21 +641,11 @@ macro_rules! forward_index_api {
                 self.inner.insert_all(buffer)
             }
 
-            /// Rebuilds the leaf-contiguous storage layout and per-leaf
-            /// word blocks after online inserts, restoring the batched
-            /// lower-bound sweep for every leaf. Queries stay exact either
-            /// way; this only restores the fast path.
+            /// Folds the insert delta into the tree now (a no-op when it
+            /// is empty). Queries are exact either way; folding only moves
+            /// the delta's rows behind the tree's pruning.
             pub fn repack_leaves(&mut self) {
                 self.inner.repack_leaves();
-            }
-
-            /// Incremental form of `repack_leaves`: only subtrees with
-            /// stale lanes rebuild their word/collect blocks; untouched
-            /// subtrees reuse theirs (runs shifted by a constant at
-            /// most). This is what the auto-repack trigger runs; call it
-            /// manually after insert bursts when the trigger is disabled.
-            pub fn repack_incremental(&mut self) {
-                self.inner.repack_incremental();
             }
 
             /// Structural statistics (Figure 8).
@@ -729,9 +710,9 @@ macro_rules! forward_index_api {
             }
 
             /// Whether this index serves the dataset from a mapped
-            /// snapshot file (true after `open`) rather than from owned
-            /// heap memory (true after `build`, or after any online
-            /// insert promotes the storage).
+            /// snapshot file (true after `open`, inserts included) rather
+            /// than from owned heap memory (true after `build`, or after
+            /// the first delta fold promotes the storage).
             #[must_use]
             pub fn is_mapped(&self) -> bool {
                 self.inner.is_mapped()

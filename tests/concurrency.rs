@@ -197,8 +197,14 @@ fn insert_then_concurrent_queries() {
         .build_sofa(&base, n)
         .expect("build");
     index.insert_all(&extra).expect("insert");
+    // 100 inserts into a 20-row delta fold five times; seven more stay in
+    // the delta, which the concurrent queries scan beside the tree.
+    let tail = dataset(7, n, 9000);
+    index.insert_all(&tail).expect("insert");
+    assert_eq!((index.stats().folds, index.stats().delta_rows), (5, 7));
     let mut all = base.clone();
     all.extend_from_slice(&extra);
+    all.extend_from_slice(&tail);
     let truth = FlatL2::new(&all, n, 1);
     std::thread::scope(|s| {
         for caller in 0..3 {

@@ -1,9 +1,9 @@
-//! Deep-tree exactness under churn: the serving cycle this PR makes
-//! first-class — concentrated root keys (one hierarchically clustered
-//! prototype family, so the index builds deep subtrees with level
-//! blocks), online insert bursts that leave lanes stale mid-query-stream,
-//! and incremental repacks — must return brute-force answers at every
-//! stage, for 500 queries across the suite.
+//! Deep-tree exactness under churn: concentrated root keys (one
+//! hierarchically clustered prototype family, so the index builds deep
+//! subtrees with level blocks), online insert bursts that fold the
+//! append-only delta into regrown trees and leave a partly full delta
+//! mid-query-stream, and explicit folds — must return brute-force answers
+//! at every stage, for 500 queries across the suite.
 //!
 //! CI replays this binary under `SOFA_FORCE_SCALAR=1` as well, so the
 //! level-order collect sweep is proven exact on every dispatch tier.
@@ -68,14 +68,13 @@ fn deep_tree_serving_stays_exact_through_inserts_and_incremental_repacks() {
         .collect();
 
     // Small leaves + a 12-symbol word force genuinely deep subtrees at
-    // this scale; auto-repack is off so stale lanes persist until the
-    // explicit incremental repacks below.
+    // this scale; the 8-row delta folds often, and leaves rows behind
+    // between bursts.
     let mut index = SofaIndex::builder()
         .threads(2)
         .leaf_capacity(8)
         .word_len(12)
         .sample_ratio(0.05)
-        .auto_repack_pct(None)
         .build_sofa(&all[..initial], n)
         .expect("build");
     let stats = index.stats();
@@ -95,31 +94,29 @@ fn deep_tree_serving_stays_exact_through_inserts_and_incremental_repacks() {
     assert!(level_groups > 0, "deep workload must exercise the level sweep");
     assert_exact(&index, &flat, &dups, n, 1, "phase2-dups");
 
-    // Phase 3: first insert burst — lanes go stale mid-stream (splits
-    // keep their parent-interval bounds); queries must stay exact with
-    // NO repack.
+    // Phase 3: first insert burst — 375 rows fold the 8-row delta 46
+    // times and leave 7 rows in it; queries must stay exact with NO
+    // explicit fold.
     let burst1 = initial + (count / 8) * n;
     index.insert_all(&all[initial..burst1]).expect("insert");
-    assert!(
-        index.stats().fallback_leaf_pct > 0.0,
-        "burst must leave stale leaves: {:?}",
-        index.stats()
-    );
+    let s = index.stats();
+    assert_eq!((s.folds, s.delta_rows), (46, 7), "burst must fold and leave a delta: {s:?}");
     let flat = FlatL2::new(&all[..burst1], n, 2);
     assert_exact(&index, &flat, &holdout[..per_phase * n], n, 3, "phase3-stale");
 
-    // Phase 4: incremental repack (only stale subtrees rebuild), then the
-    // second half of the hold-out stream.
-    index.repack_incremental();
+    // Phase 4: explicit fold of the leftover delta, then the second half
+    // of the hold-out stream.
+    index.repack_leaves();
     let s = index.stats();
-    assert_eq!(s.packed_leaves, s.leaves, "incremental repack must restore packing");
+    assert_eq!(s.packed_leaves, s.leaves, "the fold must pack every leaf");
     assert_eq!(s.fallback_leaf_pct, 0.0);
+    assert_eq!((s.folds, s.delta_rows), (47, 0));
     assert_exact(&index, &flat, &holdout[per_phase * n..], n, 5, "phase4-repacked");
 
-    // Phase 5: second burst + incremental repack, replay the known-item
-    // stream (their rows moved slots in the repack).
+    // Phase 5: second burst + explicit fold, replay the known-item
+    // stream (their rows moved slots in every fold).
     index.insert_all(&all[burst1..]).expect("insert");
-    index.repack_incremental();
+    index.repack_leaves();
     let flat = FlatL2::new(all, n, 2);
     assert_exact(&index, &flat, &dups, n, 3, "phase5-after-churn");
 }

@@ -140,8 +140,8 @@ fn full_query_suite_is_exact_under_forced_scalar_tier() {
         );
     }
 
-    // Online inserts (un-packed fallback refinement) stay exact, and
-    // repacking restores the block path with identical answers.
+    // Online inserts (the delta scan beside the tree) stay exact, and
+    // folding the delta into the tree keeps the answers identical.
     let mut sofa = sofa;
     let extra = dataset(60, n, 7777);
     sofa.insert_all(&extra).expect("insert");

@@ -7,6 +7,15 @@ use sofa::exec::failpoint::{self, FailAction};
 use sofa::index::{SNAPSHOT_RENAME_FAILPOINT, SNAPSHOT_WRITE_FAILPOINT};
 use sofa::{describe, IndexError, SofaIndex, SNAPSHOT_FORMAT_VERSION};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Failpoints are process-global: while one test has a write failpoint
+/// armed, a snapshot another test writes at the same moment would trip
+/// it instead. Every test here writes snapshots, so they take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn dataset(count: usize, n: usize, seed: usize) -> Vec<f32> {
     let mut data = Vec::with_capacity(count * n);
@@ -53,6 +62,7 @@ fn is_snapshot_error(err: &IndexError) -> bool {
 /// section added in the future is covered automatically.
 #[test]
 fn truncation_at_every_section_boundary_fails_closed() {
+    let _serial = serial();
     let (idx, _, _) = build_small();
     let path = tmp_path("trunc");
     idx.snapshot(&path).expect("snapshot");
@@ -86,6 +96,7 @@ fn truncation_at_every_section_boundary_fails_closed() {
 /// header/table region itself.
 #[test]
 fn bit_flip_in_every_section_fails_closed() {
+    let _serial = serial();
     let (idx, _, _) = build_small();
     let path = tmp_path("flip");
     idx.snapshot(&path).expect("snapshot");
@@ -127,6 +138,7 @@ fn bit_flip_in_every_section_fails_closed() {
 
 #[test]
 fn bad_magic_wrong_version_and_foreign_files_are_rejected() {
+    let _serial = serial();
     let (idx, _, _) = build_small();
     let path = tmp_path("magic");
     idx.snapshot(&path).expect("snapshot");
@@ -173,6 +185,7 @@ fn bad_magic_wrong_version_and_foreign_files_are_rejected() {
 /// rebuilding must still serve.
 #[test]
 fn torn_write_preserves_old_snapshot_and_rebuild_recovers() {
+    let _serial = serial();
     let (idx, data, n) = build_small();
     let path = tmp_path("torn");
     idx.snapshot(&path).expect("first snapshot");
@@ -215,6 +228,7 @@ fn torn_write_preserves_old_snapshot_and_rebuild_recovers() {
 /// any section is interpreted.
 #[test]
 fn describe_round_trips_and_rejects_hostile_tables() {
+    let _serial = serial();
     let (idx, _, _) = build_small();
     let path = tmp_path("table");
     idx.snapshot(&path).expect("snapshot");

@@ -204,8 +204,13 @@ fn reopened_index_keeps_growing_and_snapshots_again() {
 
     let mut opened = SofaIndex::open(&path).expect("open");
     let extra = dataset(50, n, 40);
-    opened.insert_all(&extra).expect("insert");
-    assert!(!opened.is_mapped(), "inserts must promote mapped arenas to owned");
+    // Below the leaf capacity (40) inserts only grow the delta; the one
+    // that fills it folds, which promotes the mapped arenas to owned.
+    opened.insert_all(&extra[..39 * n]).expect("insert");
+    assert!(opened.is_mapped(), "delta inserts must leave the mapped arenas alone");
+    opened.insert_all(&extra[39 * n..]).expect("insert");
+    assert!(!opened.is_mapped(), "the fold must promote mapped arenas to owned");
+    assert_eq!((opened.stats().folds, opened.stats().delta_rows), (1, 10));
     opened.repack_leaves();
 
     // The grown index snapshots and reopens, answering over all rows.
@@ -223,4 +228,82 @@ fn reopened_index_keeps_growing_and_snapshots_again() {
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&path2).ok();
+}
+
+/// Builds the growing index of the delta tests: 300 rows, leaf capacity
+/// 40, then `extra` rows inserted (all below the capacity, so they stay
+/// in the delta).
+fn grown_sofa(extra: usize) -> (SofaIndex, Vec<f32>) {
+    let n = 64;
+    let mut all = dataset(300, n, 21);
+    let mut index = SofaIndex::builder()
+        .threads(2)
+        .leaf_capacity(40)
+        .sample_ratio(0.5)
+        .build_sofa(&all, n)
+        .expect("build");
+    let rows = dataset(extra, n, 1000);
+    index.insert_all(&rows).expect("insert");
+    all.extend_from_slice(&rows);
+    (index, all)
+}
+
+#[test]
+fn snapshot_with_a_partly_full_delta_reopens_every_row() {
+    let n = 64;
+    let (live, all) = grown_sofa(25);
+    assert_eq!((live.stats().delta_rows, live.stats().folds), (25, 0));
+    let path = tmp_path("delta");
+    live.snapshot(&path).expect("snapshot");
+    let opened = SofaIndex::open(&path).expect("open");
+    assert!(opened.is_mapped(), "the tree still serves from the mapping");
+    assert_eq!((opened.n_series(), opened.stats().delta_rows), (325, 25));
+    // Same row ids: every row, delta rows included, holds its series.
+    for row in 0..325 {
+        assert_eq!(opened.raw().series(row), live.raw().series(row), "row {row}");
+    }
+    // Bit-identical to the live index and row-identical to brute force,
+    // with the delta rows as their own nearest neighbours.
+    let flat = FlatL2::new(&all, n, 2);
+    run_query_suite("delta", &live, &opened, &flat, n);
+    for (i, q) in all[300 * n..].chunks(n).enumerate() {
+        assert_eq!(opened.nn(q).expect("query").row, 300 + i as u32, "delta row {i}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A format-1 snapshot written before the delta existed, after online
+/// inserts had split leaves in place and left them unpacked: `dataset(300,
+/// 64, 21)` built with SOFA (2 threads, leaf capacity 8, 4-symbol words,
+/// sample ratio 0.5, automatic repacking off), then `dataset(50, 64,
+/// 1000)` inserted — 70 leaves, 48 of them unpacked, one subtree the
+/// inserts created, and collect lanes pointing at split nodes.
+const V1_UNPACKED: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/snapshot_v1_unpacked.idx");
+
+#[test]
+fn version_1_snapshot_with_unpacked_leaves_opens_and_answers_exactly() {
+    let n = 64;
+    let info = sofa::describe(V1_UNPACKED).expect("describe");
+    assert_eq!(info.format_version, 1);
+    assert_eq!(info.capabilities.n_rows, 350);
+    let opened = SofaIndex::open(V1_UNPACKED).expect("open a stale format-1 file");
+    // Folded once at open: every leaf packed, nothing in the delta.
+    let s = opened.stats();
+    assert_eq!((s.n_series, s.delta_rows, s.folds), (350, 0, 1));
+    assert_eq!(s.packed_leaves, s.leaves);
+    let mut all = dataset(300, n, 21);
+    all.extend_from_slice(&dataset(50, n, 1000));
+    let flat = FlatL2::new(&all, n, 2);
+    for (qi, q) in dataset(200, n, 40_000).chunks(n).enumerate() {
+        let k = 1 + qi % 10;
+        let got = opened.knn(q, k).expect("query");
+        for (g, w) in got.iter().zip(flat.knn_one(q, k).iter()) {
+            assert_eq!(g.row, w.row, "query {qi} k={k}");
+        }
+    }
+    // Row ids survived: every stored row is its own nearest neighbour.
+    for (row, q) in all.chunks(n).enumerate() {
+        assert_eq!(opened.nn(q).expect("query").row, row as u32, "row {row}");
+    }
 }
