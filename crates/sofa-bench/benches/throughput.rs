@@ -28,23 +28,6 @@ fn bench_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group(format!("throughput_1nn_{}q", n_queries));
     group.throughput(Throughput::Elements(n_queries as u64));
-    // The dispatch this PR retired: two scoped spawn/join rounds of
-    // `threads` OS threads per query, emulated around the same query so
-    // the pool win stays measurable in the bench history.
-    group.bench_function("sofa_single_spawn_loop", |b| {
-        b.iter(|| {
-            for q in black_box(queries).chunks(n) {
-                for _phase in 0..2 {
-                    std::thread::scope(|s| {
-                        for _ in 0..threads {
-                            s.spawn(|| {});
-                        }
-                    });
-                }
-                black_box(sofa.nn(q).expect("query"));
-            }
-        })
-    });
     group.bench_function("sofa_single_loop", |b| {
         b.iter(|| {
             for q in black_box(queries).chunks(n) {

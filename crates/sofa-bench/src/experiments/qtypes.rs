@@ -22,7 +22,7 @@ use super::Suite;
 use crate::report::{f1, f2, Report};
 use sofa::simd::{dot, euclidean_sq_early_abandon, znormalize};
 use sofa::summaries::ip_score;
-use sofa::{IpNeighbor, Neighbor, RowFilter, ServeConfig, Server, SofaIndex};
+use sofa::{IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig, Server, SofaIndex};
 use std::sync::Arc;
 
 /// Brute-force oracle over the same bits the index stores: rows are
@@ -132,18 +132,23 @@ pub fn ext_queries(suite: &Suite) -> Report {
     // ---- Scenario 1: filtered k-NN vs query-all-then-filter. --------
     // 50% selectivity, the even rows — candidate lanes interleave
     // admitted and rejected rows in every kernel group.
-    let half = RowFilter::from_fn(count, |row| row % 2 == 0);
+    let half = Arc::new(RowFilter::from_fn(count, |row| row % 2 == 0));
     assert_eq!(2 * half.count(), count + (count % 2), "selectivity must be 50%");
+    let filtered_kind = QueryKind::KnnFiltered { k, filter: half };
+    let filtered_knn = |q: &[f32]| {
+        let mut out = Vec::new();
+        index.query_into(q, &filtered_kind, &mut out).map(|stats| (out, stats))
+    };
 
     // Warm both paths once (page-faults, lazily allocated scratches),
     // then measure.
     for q in queries.chunks(n).take(2) {
-        index.knn_filtered(q, k, &half).expect("warm filtered");
+        filtered_knn(q).expect("warm filtered");
         post_filter_knn(&index, q, k, count, |row| row % 2 == 0);
     }
     let (_, filtered_secs) = crate::timed(|| {
         for q in queries.chunks(n) {
-            index.knn_filtered(q, k, &half).expect("filtered");
+            filtered_knn(q).expect("filtered");
         }
     });
     let (_, baseline_secs) = crate::timed(|| {
@@ -174,8 +179,7 @@ pub fn ext_queries(suite: &Suite) -> Report {
         );
     }
 
-    let (_, fstats) =
-        index.knn_filtered_with_stats(&queries[..n], k, &half).expect("filtered stats");
+    let (_, fstats) = filtered_knn(&queries[..n]).expect("filtered stats");
     r.para(&format!(
         "Filtered k-NN (k = {k}, 50% selectivity, {count} series): the \
          in-funnel predicate answers in {} ms/query against {} ms/query \
@@ -204,7 +208,10 @@ pub fn ext_queries(suite: &Suite) -> Report {
         }
     });
     let range_ms = 1e3 * range_secs / nq as f64;
-    let (hits, rstats) = index.range_with_stats(&queries[..n], radii[0]).expect("range stats");
+    let mut hits = Vec::new();
+    let rstats = index
+        .query_into(&queries[..n], &QueryKind::Range { r_sq: radii[0] }, &mut hits)
+        .expect("range stats");
     let (_, ip_secs) = crate::timed(|| {
         for q in queries.chunks(n) {
             index.knn_ip(q, k).expect("knn_ip");
@@ -247,9 +254,8 @@ pub fn ext_queries(suite: &Suite) -> Report {
         ),
         ServeConfig::new().fill_target(4),
     );
-    let shared = Arc::new(RowFilter::from_fn(count, |row| row % 2 == 0));
     for (qi, q) in queries.chunks(n).enumerate() {
-        let filtered = index.knn_filtered(q, k, &half).expect("filtered");
+        let (filtered, _) = filtered_knn(q).expect("filtered");
         let want_f = oracle.dists(q, |row| row % 2 == 0);
         checks += 1;
         deviations += u64::from(!bits_eq(&filtered, &want_f[..k.min(want_f.len())]));
@@ -277,7 +283,7 @@ pub fn ext_queries(suite: &Suite) -> Report {
         checks += 1;
         let agree = match qi % 3 {
             0 => {
-                let got = server.knn_filtered(q, k, Arc::clone(&shared)).expect("serve filtered");
+                let got = server.query(q, filtered_kind.clone()).expect("serve filtered");
                 bits_eq(&got, &filtered)
             }
             1 => bits_eq(&server.range(q, r_sq).expect("serve range"), &ranged),

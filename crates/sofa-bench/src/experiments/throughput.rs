@@ -6,15 +6,8 @@
 //! *streams*, where the FAISS insight applies (Johnson et al.): batching
 //! amortizes fixed per-query costs and turns intra-query synchronization
 //! into embarrassing query-level parallelism. This experiment times the
-//! same workload three ways on the same SOFA index:
+//! same workload two ways on the same SOFA index:
 //!
-//! * **single (per-call spawn)** — an *emulation* of the dispatch the
-//!   worker pool retired: every query pays two scoped spawn/join rounds
-//!   of `threads` OS threads (collect + refine — the shape of the
-//!   pre-`sofa-exec` implementation) added around the pool query. It
-//!   measures the spawn/join overhead delta directly rather than
-//!   re-running the seed commit, so it is an overhead model, not an
-//!   archaeological benchmark.
 //! * **single (pool)** — one `knn` call per query on the persistent pool.
 //! * **batch (pool)** — the whole stream in one `knn_batch` call:
 //!   query-parallel over the pool, serial inside each query.
@@ -24,9 +17,8 @@
 //! costs dominate and the kernel wins used to be invisible) and **LenDB**
 //! (256-length seismic series — the regime where the batched sweeps carry
 //! the end-to-end win), so the perf trajectory is legible in one place.
-//! The headline remains the batch / per-call-spawn QPS ratio, plus the
-//! batch / pool-single ratio (which additionally needs multiple physical
-//! cores to show its full query-parallel scaling).
+//! The headline is the batch / pool-single QPS ratio (which needs
+//! multiple physical cores to show its full query-parallel scaling).
 //!
 //! When the quantized refine tier is enabled (`repro --quant on`, the
 //! default), each profile also runs an A/B arm: the same index answers
@@ -105,15 +97,10 @@ fn serve_profile(
     let n = dataset.series_len();
     r.para(&format!(
         "Workload: {} × {count} series of length {n}, {n_queries} queries, \
-         {threads} pool lanes. `single (per-call spawn)` *emulates* the \
-         pre-pool dispatch — two scoped spawn/join rounds of {threads} OS \
-         threads per query, added around the same pool query, measuring \
-         the retired overhead directly rather than re-running the seed \
-         commit; `single (pool)` is one `knn` per query on the persistent \
-         pool; `batch (pool)` answers the stream with one `knn_batch` \
-         call. Expectation: batch ≥ 2× the per-call-spawn baseline on any \
-         machine (and ≥ 2× pool singles too once queries parallelize \
-         across ≥ 2 physical cores).",
+         {threads} pool lanes. `single (pool)` is one `knn` per query on \
+         the persistent pool; `batch (pool)` answers the stream with one \
+         `knn_batch` call. Expectation: batch ≥ 2× pool singles once \
+         queries parallelize across ≥ 2 physical cores.",
         spec.name
     ));
 
@@ -137,25 +124,7 @@ fn serve_profile(
         let _ = flat.nn(q);
     }
 
-    // Mode 1: the retired per-call-spawn dispatch, emulated faithfully —
-    // the old build/query path opened one `std::thread::scope` of
-    // `threads` workers per parallel phase (collect, refine), created and
-    // joined on every call.
-    let (spawn_secs, spawn_ms) = time_singles(
-        |q| {
-            for _phase in 0..2 {
-                std::thread::scope(|s| {
-                    for _ in 0..threads {
-                        s.spawn(|| {});
-                    }
-                });
-            }
-            sofa.nn(q).expect("query");
-        },
-        queries,
-        n,
-    );
-    // Mode 2: the pool path.
+    // Mode 1: one query per call on the pool.
     let (pool_secs, pool_ms) = time_singles(
         |q| {
             sofa.nn(q).expect("query");
@@ -163,7 +132,7 @@ fn serve_profile(
         queries,
         n,
     );
-    // Mode 3: one batch call.
+    // Mode 2: one batch call.
     let (_, batch_secs) = crate::timed(|| sofa.knn_batch(queries, 1).expect("batch"));
 
     let (flat_secs, flat_ms) = time_singles(
@@ -177,7 +146,6 @@ fn serve_profile(
 
     let nq = n_queries as f64;
     let rows = vec![
-        mode_row("SOFA", "single (per-call spawn)", spawn_secs, &spawn_ms),
         mode_row("SOFA", "single (pool)", pool_secs, &pool_ms),
         vec![
             "SOFA".into(),
@@ -226,14 +194,11 @@ fn serve_profile(
     let block_abandon_ratio =
         if lbd_checked == 0 { 0.0 } else { lanes_abandoned as f64 / lbd_checked as f64 };
 
-    let spawn_qps = nq / spawn_secs;
     let pool_qps = nq / pool_secs;
     let batch_qps = nq / batch_secs;
     let m = |name: &str| format!("{name}{suffix}");
-    r.metric(&m("sofa_single_spawn_qps"), spawn_qps);
     r.metric(&m("sofa_single_pool_qps"), pool_qps);
     r.metric(&m("sofa_batch_qps"), batch_qps);
-    r.metric(&m("sofa_batch_vs_spawn_speedup"), batch_qps / spawn_qps);
     r.metric(&m("sofa_pool_p50_ms"), percentile(&pool_ms, 50.0));
     r.metric(&m("sofa_pool_p99_ms"), percentile(&pool_ms, 99.0));
     r.metric(&m("flat_single_qps"), nq / flat_secs);
@@ -315,24 +280,16 @@ fn serve_profile(
         ));
     }
     r.para(&format!(
-        "SOFA on {}: `knn_batch` throughput is {:.1}x the per-call-spawn \
-         single-query baseline ({} vs {} QPS) and {:.1}x pool \
-         single-query throughput ({} vs {} QPS). Pool single-query \
-         latency is {:.1}x the emulated spawn baseline's (p50 {} vs {} ms).",
+        "SOFA on {}: `knn_batch` throughput is {:.1}x pool single-query \
+         throughput ({} vs {} QPS).",
         spec.name,
-        batch_qps / spawn_qps,
-        f2(batch_qps),
-        f2(spawn_qps),
         batch_qps / pool_qps,
         f2(batch_qps),
         f2(pool_qps),
-        percentile(&pool_ms, 50.0) / percentile(&spawn_ms, 50.0).max(1e-9),
-        f3(percentile(&pool_ms, 50.0)),
-        f3(percentile(&spawn_ms, 50.0)),
     ));
 }
 
-/// `ext-throughput`: single-query QPS (per-call spawn vs pool) against
+/// `ext-throughput`: pool single-query QPS against
 /// `knn_batch` QPS for the SOFA index and the flat baseline, on a
 /// short-series (Deep1b, 96) and a long-series (LenDB, 256) profile.
 pub fn ext_throughput(suite: &Suite) -> Report {

@@ -24,12 +24,7 @@ fn ext_throughput_reports_both_modes() {
     let suite = quick_suite();
     let report = (find("ext-throughput").expect("registered").run)(&suite);
     let md = report.render();
-    for needle in [
-        "| SOFA | single (per-call spawn) |",
-        "| SOFA | single (pool) |",
-        "| SOFA | batch (pool) |",
-        "per-call-spawn single-query baseline",
-    ] {
+    for needle in ["| SOFA | single (pool) |", "| SOFA | batch (pool) |"] {
         assert!(md.contains(needle), "missing `{needle}` in:\n{md}");
     }
 }

@@ -57,7 +57,9 @@ impl<S: Summarization> Index<S> {
     ///
     /// # Errors
     /// Returns [`IndexError::BadQuery`] if the series length mismatches,
-    /// or [`IndexError::TooManyRows`] past the `u32` row-id space.
+    /// [`IndexError::NonFinite`] if it holds a NaN or ±Inf value, or
+    /// [`IndexError::TooManyRows`] past the `u32` row-id space. A
+    /// rejected series leaves the index unchanged.
     pub fn insert(&mut self, series: &[f32]) -> Result<u32, IndexError> {
         if series.len() != self.series_len {
             return Err(IndexError::BadQuery(format!(
@@ -65,6 +67,9 @@ impl<S: Summarization> Index<S> {
                 series.len(),
                 self.series_len
             )));
+        }
+        if series.iter().any(|x| !x.is_finite()) {
+            return Err(IndexError::NonFinite);
         }
         let row = self.n_series();
         // Row ids are `u32`; one more row would silently truncate every
@@ -116,13 +121,17 @@ impl<S: Summarization> Index<S> {
     ///
     /// # Errors
     /// Returns [`IndexError::BadDataset`] if the buffer is not a whole
-    /// number of series, or [`IndexError::TooManyRows`] past the `u32`
-    /// row-id space.
+    /// number of series, [`IndexError::NonFinite`] if any value is NaN or
+    /// ±Inf (checked before any row is inserted), or
+    /// [`IndexError::TooManyRows`] past the `u32` row-id space.
     pub fn insert_all(&mut self, buffer: &[f32]) -> Result<u32, IndexError> {
         if buffer.is_empty() || buffer.len() % self.series_len != 0 {
             return Err(IndexError::BadDataset(
                 "buffer must be a non-empty whole number of series".into(),
             ));
+        }
+        if buffer.iter().any(|x| !x.is_finite()) {
+            return Err(IndexError::NonFinite);
         }
         let first = u32::try_from(self.n_series())
             .map_err(|_| IndexError::TooManyRows { rows: self.n_series() + 1 })?;

@@ -58,7 +58,7 @@ pub use bsf::{AtomicDistance, IpNeighbor, KnnSet, Neighbor};
 pub use config::IndexConfig;
 pub use filter::RowFilter;
 pub use node::{CollectBlock, LeafPack, LevelLanes, Node, NodeKind, Subtree};
-pub use query::{QueryKind, QueryStats};
+pub use query::{validate_batch, QueryKind, QueryStats};
 pub use snapshot::{
     describe, SectionInfo, SectionReader, SnapshotCapabilities, SnapshotInfo,
     SnapshotSummarization, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_RENAME_FAILPOINT,
@@ -75,8 +75,13 @@ use std::sync::Arc;
 pub enum IndexError {
     /// The dataset buffer was empty or not a whole number of series.
     BadDataset(String),
-    /// A query's length does not match the indexed series length.
+    /// A query's length does not match the indexed series length, or its
+    /// request is otherwise malformed (zero `k`, bad radius, a filter or
+    /// batch of the wrong shape).
     BadQuery(String),
+    /// A query or inserted series holds a NaN or ±Inf value, which has no
+    /// z-normalized form to search for or store.
+    NonFinite,
     /// The build (or an insert) would exceed `u32::MAX` rows — row ids,
     /// storage slots and leaf row lists are all `u32`, so a larger index
     /// would silently truncate ids. Shard the dataset across indexes
@@ -125,6 +130,7 @@ impl std::fmt::Display for IndexError {
         match self {
             IndexError::BadDataset(msg) => write!(f, "bad dataset: {msg}"),
             IndexError::BadQuery(msg) => write!(f, "bad query: {msg}"),
+            IndexError::NonFinite => write!(f, "series holds a NaN or infinite value"),
             IndexError::TooManyRows { rows } => {
                 write!(f, "too many rows: {rows} exceeds the u32 row-id space")
             }

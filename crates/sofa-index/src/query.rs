@@ -41,7 +41,7 @@
 //! per-query buffer — context values, query word, queues, k-NN heap,
 //! range hit list, dead-lane markers — comes from a pooled
 //! [`crate::scratch::QueryScratch`], so the steady-state serial path
-//! performs zero heap allocations and [`Index::knn_batch`] lanes reuse
+//! performs zero heap allocations and [`Index::query_batch`] lanes reuse
 //! one scratch per lane across the whole mini-batch.
 
 use crate::bsf::{IpNeighbor, Neighbor};
@@ -195,9 +195,9 @@ impl AtomicStats {
     }
 }
 
-/// One ticket's query type, for mixed batches ([`Index::query_batch_into_cancel`])
-/// and serving front-ends that coalesce heterogeneous tickets into one
-/// tick.
+/// The query request: one kind per query, for single queries
+/// ([`Index::query_into`]), mixed batches ([`Index::query_batch`]) and
+/// serving front-ends that coalesce heterogeneous tickets into one tick.
 ///
 /// Results always travel as [`Neighbor`] vectors, best first:
 ///
@@ -237,53 +237,63 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
-    /// The internal execution plan this kind resolves to.
-    fn exec(&self) -> QueryExec<'_> {
-        match self {
-            QueryKind::Knn { k } => QueryExec::Knn { k: *k, filter: None },
-            QueryKind::KnnFiltered { k, filter } => QueryExec::Knn { k: *k, filter: Some(filter) },
-            QueryKind::Range { r_sq } => QueryExec::Range { r_sq: *r_sq, filter: None },
-            QueryKind::Ip { k } => QueryExec::Ip { k: *k, filter: None },
+    /// Checks this kind's parameters: `k >= 1`, a finite non-negative
+    /// radius, and — when the executor's row count `n_rows` is known — a
+    /// filter covering exactly that many rows.
+    ///
+    /// # Errors
+    /// Returns [`IndexError::BadQuery`] naming the violated rule.
+    pub fn validate(&self, n_rows: Option<usize>) -> Result<(), IndexError> {
+        let bad = |msg: String| Err(IndexError::BadQuery(msg));
+        match (self, n_rows) {
+            (
+                QueryKind::Knn { k: 0 }
+                | QueryKind::KnnFiltered { k: 0, .. }
+                | QueryKind::Ip { k: 0 },
+                _,
+            ) => bad("k must be at least 1".into()),
+            (QueryKind::KnnFiltered { filter, .. }, Some(rows)) if filter.len() != rows => {
+                bad(format!("filter covers {} rows but the index holds {rows}", filter.len()))
+            }
+            (QueryKind::Range { r_sq }, _) if !(r_sq.is_finite() && *r_sq >= 0.0) => {
+                bad(format!("range radius² must be finite and non-negative, got {r_sq}"))
+            }
+            _ => Ok(()),
         }
     }
 }
 
-/// The resolved execution plan of one query: which [`PruneBound`] drives
-/// the funnel, plus the optional row predicate.
-#[derive(Copy, Clone)]
-enum QueryExec<'a> {
-    Knn { k: usize, filter: Option<&'a RowFilter> },
-    Range { r_sq: f32, filter: Option<&'a RowFilter> },
-    Ip { k: usize, filter: Option<&'a RowFilter> },
-}
-
-impl QueryExec<'_> {
-    /// The `k` the scratch's result set is armed with (range queries
-    /// don't use the k-NN set; 1 keeps the reset cheap).
-    fn prep_k(&self) -> usize {
-        match self {
-            QueryExec::Knn { k, .. } | QueryExec::Ip { k, .. } => *k,
-            QueryExec::Range { .. } => 1,
-        }
+/// The request check every front end (`Index`, and the sharded index
+/// and server in `sofa-serve`) runs before a query reaches the funnel:
+/// `queries` holds exactly `kinds.len()` row-major series of `series_len`
+/// finite values, there is one output slot per query and either no
+/// cancellation token or one per query, and every kind passes
+/// [`QueryKind::validate`] against `n_rows`.
+///
+/// # Errors
+/// Returns [`IndexError::BadQuery`] on a shape mismatch or an invalid
+/// kind, and [`IndexError::NonFinite`] if a query value is NaN or ±Inf
+/// (the funnel would otherwise answer it as a constant series).
+pub fn validate_batch(
+    queries: &[f32],
+    series_len: usize,
+    kinds: &[QueryKind],
+    n_rows: Option<usize>,
+    n_outs: usize,
+    n_cancels: usize,
+) -> Result<(), IndexError> {
+    let m = kinds.len();
+    if queries.len() != m * series_len || n_outs != m || (n_cancels != 0 && n_cancels != m) {
+        return Err(IndexError::BadQuery(format!(
+            "{} floats, {n_outs} output slots and {n_cancels} cancellation tokens \
+             for {m} queries of length {series_len}",
+            queries.len()
+        )));
     }
-}
-
-/// Where a batch's per-query kinds come from: the uniform k-NN fast path
-/// (no per-query allocation, the historical `knn_batch_into` shape) or a
-/// fully mixed [`QueryKind`] slice.
-#[derive(Copy, Clone)]
-enum KindSource<'a> {
-    UniformKnn(&'a [usize]),
-    PerQuery(&'a [QueryKind]),
-}
-
-impl<'a> KindSource<'a> {
-    fn exec(&self, i: usize) -> QueryExec<'a> {
-        match self {
-            KindSource::UniformKnn(ks) => QueryExec::Knn { k: ks[i], filter: None },
-            KindSource::PerQuery(kinds) => kinds[i].exec(),
-        }
+    if queries.iter().any(|x| !x.is_finite()) {
+        return Err(IndexError::NonFinite);
     }
+    kinds.iter().try_for_each(|kind| kind.validate(n_rows))
 }
 
 /// Has this query's cancellation token fired? (`None` = uncancellable.)
@@ -292,11 +302,141 @@ fn fired(cancel: Option<&CancelToken>) -> bool {
     cancel.is_some_and(CancelToken::is_cancelled)
 }
 
+/// Moves one answered query's results out of the scratch into `out`
+/// (cleared first, best first): the sorted hit list for range, the
+/// k-NN/IP set otherwise.
+fn drain_results(scratch: &mut QueryScratch, kind: &QueryKind, out: &mut Vec<Neighbor>) {
+    out.clear();
+    if let QueryKind::Range { .. } = kind {
+        let hits = scratch.range.get_mut();
+        // Deterministic output independent of worker interleaving.
+        hits.sort_unstable();
+        out.append(hits);
+    } else {
+        scratch.knn.drain_sorted_into(out);
+    }
+}
+
 impl<S: Summarization> Index<S> {
+    /// Answers one query of any [`QueryKind`] into `out` (cleared first,
+    /// best first, encoded per [`QueryKind`]) and returns its work
+    /// counters. Each funnel phase of the lone query runs across the
+    /// pool. With a warmed-up scratch pool and a buffer that has held the
+    /// answer before, the call performs no heap allocation.
+    ///
+    /// A `KnnFiltered` predicate is enforced *inside* the funnel: rejected
+    /// rows never seed or tighten the bound, and refine-phase lane groups
+    /// AND the bitmap into the SIMD sweeps (dead lanes price as `+inf`
+    /// and speed up whole-group abandons) — not by post-filtering a wider
+    /// answer, which would be both wrong at the bound and slower. Range
+    /// pruning is strict, so ties exactly at the radius are included.
+    ///
+    /// # Errors
+    /// As [`validate_batch`]: [`IndexError::BadQuery`] on a length
+    /// mismatch or an invalid kind, [`IndexError::NonFinite`] on a NaN or
+    /// ±Inf query value.
+    pub fn query_into(
+        &self,
+        query: &[f32],
+        kind: &QueryKind,
+        out: &mut Vec<Neighbor>,
+    ) -> Result<QueryStats, IndexError> {
+        let kinds = std::slice::from_ref(kind);
+        validate_batch(query, self.series_len, kinds, Some(self.n_series()), 1, 0)?;
+        let mut scratch = self.scratch();
+        let stats =
+            self.query_on_scratch(&mut scratch, query, kind, None, self.pool.threads() == 1);
+        drain_results(&mut scratch, kind, out);
+        Ok(stats)
+    }
+
+    /// Answers a row-major batch, query `i` as `kinds[i]` into `outs[i]`
+    /// (each cleared first, encoded per [`QueryKind`]). Queries are
+    /// spread across the worker pool — each lane claims queries off a
+    /// counter and runs the serial per-query path, reusing one pooled
+    /// scratch for every query it claims, so a warm batch allocates
+    /// nothing (the FAISS mini-batch model, applied to the tree). A batch
+    /// of one keeps intra-query parallelism. This is the engine behind
+    /// the micro-batching front-ends; exactly one
+    /// [`crate::IndexStats::queries_served`] count is recorded per
+    /// answered slot.
+    ///
+    /// `cancels` is either empty (no cancellation) or one
+    /// [`CancelToken`] per query. A query whose token fires — its
+    /// deadline passed or a canceller called [`CancelToken::cancel`] —
+    /// is abandoned at the next checkpoint (group-sweep granularity
+    /// inside collect and refine): its output slot is **not** written,
+    /// it lands in `queries_cancelled` instead of `queries_served`, and
+    /// its partial work is discarded. Abandonment always latches the
+    /// token's fired flag first, so a caller that observes
+    /// `!is_cancelled_now()` after this returns knows that slot holds a
+    /// complete exact answer.
+    ///
+    /// # Errors
+    /// As [`validate_batch`]: shape mismatches between `queries`,
+    /// `kinds`, `outs` and a non-empty `cancels`, an invalid kind, or a
+    /// non-finite query value.
+    pub fn query_batch(
+        &self,
+        queries: &[f32],
+        kinds: &[QueryKind],
+        outs: &[Mutex<Vec<Neighbor>>],
+        cancels: &[CancelToken],
+    ) -> Result<(), IndexError> {
+        let n_queries = kinds.len();
+        let n_rows = Some(self.n_series());
+        validate_batch(queries, self.series_len, kinds, n_rows, outs.len(), cancels.len())?;
+        match n_queries {
+            0 => {}
+            1 => {
+                // A lone query still gets intra-query parallelism, with
+                // the token (if any) threaded through the phases.
+                let mut scratch = self.scratch();
+                let serial = self.pool.threads() == 1;
+                let stats = self.query_on_scratch(
+                    &mut scratch,
+                    queries,
+                    &kinds[0],
+                    cancels.first(),
+                    serial,
+                );
+                if stats.cancelled == 0 {
+                    drain_results(&mut scratch, &kinds[0], &mut outs[0].lock());
+                }
+            }
+            _ if self.pool.threads() == 1 => {
+                let mut scratch = self.scratch();
+                for i in 0..n_queries {
+                    self.batch_query_on_scratch(&mut scratch, queries, kinds, outs, cancels, i);
+                }
+            }
+            _ => {
+                let next_query = AtomicUsize::new(0);
+                // A tick smaller than the pool leaves the excess lanes
+                // asleep: per-tick dispatch cost scales with the queries
+                // available.
+                self.pool.broadcast_limit(n_queries, |_| {
+                    // One scratch per lane for the whole batch: queues,
+                    // heaps, context buffers and the DFT executor are
+                    // reused across every query this lane claims.
+                    let mut scratch = self.scratch();
+                    loop {
+                        let i = next_query.fetch_add(1, Ordering::Relaxed);
+                        if i >= n_queries {
+                            break;
+                        }
+                        self.batch_query_on_scratch(&mut scratch, queries, kinds, outs, cancels, i);
+                    }
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Exact 1-NN under z-normalized Euclidean distance.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch.
+    /// As [`Index::query_into`].
     pub fn nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
         Ok(self.knn(query, 1)?[0])
     }
@@ -304,177 +444,66 @@ impl<S: Summarization> Index<S> {
     /// Exact k-NN, best first. Returns `min(k, n_series)` neighbors.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+    /// As [`Index::query_into`].
     pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
         self.knn_with_stats(query, k).map(|(nn, _)| nn)
     }
 
-    /// Exact k-NN written into a caller-owned buffer (cleared first, best
-    /// first) — the allocation-free serving form of [`Index::knn`]: with a
-    /// warmed-up scratch pool and a buffer that has held `k` results
-    /// before, the call performs no heap allocation at all.
+    /// [`Index::knn`] into a caller-owned buffer: [`Index::query_into`]
+    /// with [`QueryKind::Knn`], allocation-free once warm.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+    /// As [`Index::query_into`].
     pub fn knn_into(
         &self,
         query: &[f32],
         k: usize,
         out: &mut Vec<Neighbor>,
     ) -> Result<(), IndexError> {
-        self.validate(query, k)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Knn { k, filter: None };
-        let _ = self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        self.drain_exec_results(&mut scratch, &exec, out);
-        Ok(())
+        self.query_into(query, &QueryKind::Knn { k }, out).map(drop)
     }
 
     /// Exact k-NN plus per-query work counters.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+    /// As [`Index::query_into`].
     pub fn knn_with_stats(
         &self,
         query: &[f32],
         k: usize,
     ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-        self.validate(query, k)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Knn { k, filter: None };
-        let stats =
-            self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
         let mut out = Vec::with_capacity(k.min(self.n_series()));
-        self.drain_exec_results(&mut scratch, &exec, &mut out);
+        let stats = self.query_into(query, &QueryKind::Knn { k }, &mut out)?;
         Ok((out, stats))
     }
 
-    /// Exact k-NN over the rows `filter` admits, best first — exactly the
-    /// answer k-NN would give if the index held only the admitted subset.
-    ///
-    /// The predicate is enforced *inside* the pruning funnel: rejected
-    /// rows never seed or tighten the best-so-far, and refine-phase lane
-    /// groups AND the bitmap into the SIMD sweeps (dead lanes price as
-    /// `+inf` and speed up whole-group abandons) — not by post-filtering
-    /// a wider answer, which would be both wrong at the bound and slower.
+    /// Exact k-NN for a row-major batch of queries, best first per query:
+    /// [`Index::query_batch`] with a uniform [`QueryKind::Knn`].
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch, `k == 0`,
-    /// or a filter whose row count differs from the index's.
-    pub fn knn_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &RowFilter,
-    ) -> Result<Vec<Neighbor>, IndexError> {
-        self.knn_filtered_with_stats(query, k, filter).map(|(nn, _)| nn)
-    }
-
-    /// [`Index::knn_filtered`] plus per-query work counters (see
-    /// [`QueryStats::predicate_lanes_masked`]).
-    ///
-    /// # Errors
-    /// Same conditions as [`Index::knn_filtered`].
-    pub fn knn_filtered_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &RowFilter,
-    ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-        self.validate(query, k)?;
-        self.validate_filter(filter)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Knn { k, filter: Some(filter) };
-        let stats =
-            self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        let mut out = Vec::with_capacity(k.min(filter.count()));
-        self.drain_exec_results(&mut scratch, &exec, &mut out);
-        Ok((out, stats))
-    }
-
-    /// [`Index::knn_filtered`] into a caller-owned buffer (cleared first).
-    ///
-    /// # Errors
-    /// Same conditions as [`Index::knn_filtered`].
-    pub fn knn_filtered_into(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &RowFilter,
-        out: &mut Vec<Neighbor>,
-    ) -> Result<(), IndexError> {
-        self.validate(query, k)?;
-        self.validate_filter(filter)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Knn { k, filter: Some(filter) };
-        let _ = self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        self.drain_exec_results(&mut scratch, &exec, out);
-        Ok(())
+    /// As [`Index::query_batch`].
+    pub fn knn_batch(&self, queries: &[f32], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
+        let n_queries = queries.len() / self.series_len;
+        let kind = QueryKind::Knn { k };
+        // Checked up front so an empty batch still refuses `k == 0`.
+        kind.validate(None)?;
+        let kinds = vec![kind; n_queries];
+        let outs: Vec<Mutex<Vec<Neighbor>>> =
+            (0..n_queries).map(|_| Mutex::new(Vec::new())).collect();
+        self.query_batch(queries, &kinds, &outs, &[])?;
+        Ok(outs.into_iter().map(Mutex::into_inner).collect())
     }
 
     /// Exact range search: every row with squared distance `<= r_sq`,
-    /// sorted by `(dist_sq, row)`. Ties exactly at the radius are
-    /// **included** — all pruning for this query type is strict.
+    /// sorted by `(dist_sq, row)` — [`Index::query_into`] with
+    /// [`QueryKind::Range`]. Ties exactly at the radius are included.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or a
-    /// non-finite/negative radius.
+    /// As [`Index::query_into`].
     pub fn range(&self, query: &[f32], r_sq: f32) -> Result<Vec<Neighbor>, IndexError> {
-        self.range_with_stats(query, r_sq).map(|(hits, _)| hits)
-    }
-
-    /// [`Index::range`] plus per-query work counters (see
-    /// [`QueryStats::range_hits`]).
-    ///
-    /// # Errors
-    /// Same conditions as [`Index::range`].
-    pub fn range_with_stats(
-        &self,
-        query: &[f32],
-        r_sq: f32,
-    ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-        self.validate(query, 1)?;
-        Self::validate_radius(r_sq)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Range { r_sq, filter: None };
-        let stats =
-            self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
         let mut out = Vec::new();
-        self.drain_exec_results(&mut scratch, &exec, &mut out);
-        Ok((out, stats))
-    }
-
-    /// [`Index::range`] into a caller-owned buffer (cleared first) — the
-    /// allocation-free serving form.
-    ///
-    /// # Errors
-    /// Same conditions as [`Index::range`].
-    pub fn range_into(
-        &self,
-        query: &[f32],
-        r_sq: f32,
-        out: &mut Vec<Neighbor>,
-    ) -> Result<(), IndexError> {
-        self.validate(query, 1)?;
-        Self::validate_radius(r_sq)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Range { r_sq, filter: None };
-        let _ = self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        self.drain_exec_results(&mut scratch, &exec, out);
-        Ok(())
-    }
-
-    /// The row maximizing the inner product `q·x` with the z-normalized
-    /// query (exact; ties broken by lowest row).
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or an empty
-    /// index.
-    pub fn nn_ip(&self, query: &[f32]) -> Result<IpNeighbor, IndexError> {
-        self.knn_ip(query, 1)?
-            .first()
-            .copied()
-            .ok_or_else(|| IndexError::BadQuery("index is empty".into()))
+        self.query_into(query, &QueryKind::Range { r_sq }, &mut out)?;
+        Ok(out)
     }
 
     /// Exact top-k rows by inner product with the z-normalized query,
@@ -485,292 +514,25 @@ impl<S: Summarization> Index<S> {
     /// score `2n - q·x`, and the current k-th-best score converts to a
     /// squared-L2 radius every existing `mindist` bound prunes against
     /// (see `sofa-summaries`'s `ip_l2_radius` and its soundness property
-    /// test). The returned `ip` values are exact dot products recomputed
-    /// per answer row.
+    /// test). Unlike a [`QueryKind::Ip`] answer, which carries scores,
+    /// the returned `ip` values are exact dot products recomputed per
+    /// answer row.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+    /// As [`Index::query_into`].
     pub fn knn_ip(&self, query: &[f32], k: usize) -> Result<Vec<IpNeighbor>, IndexError> {
-        self.validate(query, k)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Ip { k, filter: None };
-        let _ = self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        let mut raw = Vec::with_capacity(k.min(self.n_series()));
-        scratch.knn.drain_sorted_into(&mut raw);
-        // Scores sort ascending = best inner product first. Report true
-        // dot products (the score transport is exact in-process, but the
-        // dot is the quantity the caller asked for).
-        Ok(raw
-            .into_iter()
+        let mut scored = Vec::with_capacity(k.min(self.n_series()));
+        self.query_into(query, &QueryKind::Ip { k }, &mut scored)?;
+        // The same normalization the funnel applied to the query.
+        let mut q = query.to_vec();
+        sofa_simd::znormalize(&mut q);
+        Ok(scored
+            .iter()
             .map(|nb| IpNeighbor {
                 row: nb.row,
-                ip: sofa_simd::dot(&scratch.q, self.series(nb.row as usize)),
+                ip: sofa_simd::dot(&q, self.series(nb.row as usize)),
             })
             .collect())
-    }
-
-    fn validate(&self, query: &[f32], k: usize) -> Result<(), IndexError> {
-        if query.len() != self.series_len {
-            return Err(IndexError::BadQuery(format!(
-                "query length {} != series length {}",
-                query.len(),
-                self.series_len
-            )));
-        }
-        if k == 0 {
-            return Err(IndexError::BadQuery("k must be at least 1".into()));
-        }
-        Ok(())
-    }
-
-    fn validate_filter(&self, filter: &RowFilter) -> Result<(), IndexError> {
-        if filter.len() != self.n_series() {
-            return Err(IndexError::BadQuery(format!(
-                "filter covers {} rows but the index holds {}",
-                filter.len(),
-                self.n_series()
-            )));
-        }
-        Ok(())
-    }
-
-    fn validate_radius(r_sq: f32) -> Result<(), IndexError> {
-        if !(r_sq.is_finite() && r_sq >= 0.0) {
-            return Err(IndexError::BadQuery(format!(
-                "range radius² must be finite and non-negative, got {r_sq}"
-            )));
-        }
-        Ok(())
-    }
-
-    fn validate_kind(&self, kind: &QueryKind) -> Result<(), IndexError> {
-        match kind {
-            QueryKind::Knn { k } | QueryKind::Ip { k } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()));
-                }
-            }
-            QueryKind::KnnFiltered { k, filter } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()));
-                }
-                self.validate_filter(filter)?;
-            }
-            QueryKind::Range { r_sq } => Self::validate_radius(*r_sq)?,
-        }
-        Ok(())
-    }
-
-    /// Exact k-NN for a batch of queries (row-major), best first per
-    /// query. Queries are distributed across the worker pool — each runs
-    /// the serial per-query path, so a batch keeps every lane busy with
-    /// zero intra-query synchronization (the FAISS mini-batch model the
-    /// paper uses for its flat competitor, applied to the tree). Each
-    /// lane checks out one scratch for the whole batch, so the per-query
-    /// allocations are limited to the output vectors.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the buffer is not a whole
-    /// number of series or `k == 0`.
-    pub fn knn_batch(&self, queries: &[f32], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        if k == 0 {
-            return Err(IndexError::BadQuery("k must be at least 1".into()));
-        }
-        if queries.len() % self.series_len != 0 {
-            return Err(IndexError::BadQuery(format!(
-                "query buffer of {} floats is not a multiple of series length {}",
-                queries.len(),
-                self.series_len
-            )));
-        }
-        let n_queries = queries.len() / self.series_len;
-        if n_queries == 0 {
-            return Ok(Vec::new());
-        }
-        let ks = vec![k; n_queries];
-        let results: Vec<Mutex<Vec<Neighbor>>> =
-            (0..n_queries).map(|_| Mutex::new(Vec::new())).collect();
-        self.knn_batch_into(queries, &ks, &results)?;
-        Ok(results.into_iter().map(Mutex::into_inner).collect())
-    }
-
-    /// Exact k-NN for a batch of queries written into caller-owned output
-    /// slots (each cleared first, best first) — the allocation-free
-    /// serving form of [`Index::knn_batch`], with a per-query `k`. This
-    /// is the engine behind micro-batching front-ends: a coalesced tick
-    /// of `m` single-query tickets runs through here on
-    /// `min(m, threads())` pool lanes, each lane reusing one pooled
-    /// scratch for every query it claims, so a warm tick allocates
-    /// nothing.
-    ///
-    /// Exactly one [`crate::IndexStats::queries_served`] count is
-    /// recorded per slot, the same as `m` individual [`Index::knn`]
-    /// calls — batch lanes and coalesced ticks are indistinguishable in
-    /// the counters.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the buffer is not a whole
-    /// number of series, `ks`/`outs` lengths don't match the query
-    /// count, or any `k == 0`.
-    pub fn knn_batch_into(
-        &self,
-        queries: &[f32],
-        ks: &[usize],
-        outs: &[Mutex<Vec<Neighbor>>],
-    ) -> Result<(), IndexError> {
-        self.knn_batch_into_cancel(queries, ks, outs, &[])
-    }
-
-    /// [`Index::knn_batch_into`] with per-query cooperative cancellation.
-    ///
-    /// `cancels` is either empty (no cancellation — identical to
-    /// `knn_batch_into`) or one [`CancelToken`] per query. A query whose
-    /// token fires — its deadline passed or a canceller called
-    /// [`CancelToken::cancel`] — is abandoned at the next checkpoint
-    /// (group-sweep granularity inside collect and refine): its output
-    /// slot is **not** written, it is **not** counted in
-    /// `queries_served` (it lands in `queries_cancelled` instead), and
-    /// its partial work is discarded — a query either completes exactly
-    /// or produces nothing. Abandonment always latches the token's fired
-    /// flag first, so a caller that observes `!is_cancelled_now()` after
-    /// this returns knows that slot holds a complete exact answer.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on the same shape violations as
-    /// [`Index::knn_batch_into`], or when `cancels` is non-empty but its
-    /// length does not match the query count.
-    pub fn knn_batch_into_cancel(
-        &self,
-        queries: &[f32],
-        ks: &[usize],
-        outs: &[Mutex<Vec<Neighbor>>],
-        cancels: &[CancelToken],
-    ) -> Result<(), IndexError> {
-        let n_queries = self.validate_batch_shape(queries, ks.len(), outs.len(), cancels)?;
-        if ks.contains(&0) {
-            return Err(IndexError::BadQuery("k must be at least 1".into()));
-        }
-        if n_queries == 0 {
-            return Ok(());
-        }
-        self.batch_dispatch(queries, KindSource::UniformKnn(ks), outs, cancels)
-    }
-
-    /// A mixed batch: per-query [`QueryKind`] (k-NN, filtered k-NN,
-    /// range, inner-product) answered through the same coalesced
-    /// machinery as [`Index::knn_batch_into_cancel`] — one pool pass, one
-    /// scratch per lane, per-query cancellation. See [`QueryKind`] for
-    /// how each kind's results are encoded in its output slot.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on shape violations (buffer not a
-    /// whole number of series; `kinds`/`outs`/non-empty `cancels` length
-    /// mismatches) or an invalid kind (`k == 0`, bad radius, filter row
-    /// count mismatch).
-    pub fn query_batch_into_cancel(
-        &self,
-        queries: &[f32],
-        kinds: &[QueryKind],
-        outs: &[Mutex<Vec<Neighbor>>],
-        cancels: &[CancelToken],
-    ) -> Result<(), IndexError> {
-        let n_queries = self.validate_batch_shape(queries, kinds.len(), outs.len(), cancels)?;
-        for kind in kinds {
-            self.validate_kind(kind)?;
-        }
-        if n_queries == 0 {
-            return Ok(());
-        }
-        self.batch_dispatch(queries, KindSource::PerQuery(kinds), outs, cancels)
-    }
-
-    /// Shared shape validation of the batch entry points. Returns the
-    /// query count.
-    fn validate_batch_shape(
-        &self,
-        queries: &[f32],
-        n_kinds: usize,
-        n_outs: usize,
-        cancels: &[CancelToken],
-    ) -> Result<usize, IndexError> {
-        let n = self.series_len;
-        if queries.len() % n != 0 {
-            return Err(IndexError::BadQuery(format!(
-                "query buffer of {} floats is not a multiple of series length {}",
-                queries.len(),
-                n
-            )));
-        }
-        let n_queries = queries.len() / n;
-        if n_kinds != n_queries || n_outs != n_queries {
-            return Err(IndexError::BadQuery(format!(
-                "{n_queries} queries but {n_kinds} kinds/ks and {n_outs} output slots"
-            )));
-        }
-        if !cancels.is_empty() && cancels.len() != n_queries {
-            return Err(IndexError::BadQuery(format!(
-                "{} queries but {} cancellation tokens",
-                n_queries,
-                cancels.len()
-            )));
-        }
-        Ok(n_queries)
-    }
-
-    /// Validated batch execution: a lone query keeps intra-query
-    /// parallelism; otherwise pool lanes claim queries off an atomic
-    /// counter and run the serial per-query path, one pooled scratch per
-    /// lane for the whole batch.
-    fn batch_dispatch(
-        &self,
-        queries: &[f32],
-        kinds: KindSource<'_>,
-        outs: &[Mutex<Vec<Neighbor>>],
-        cancels: &[CancelToken],
-    ) -> Result<(), IndexError> {
-        let n_queries = outs.len();
-        if n_queries == 1 {
-            // A lone query still gets intra-query parallelism, with the
-            // token (if any) threaded through the phases.
-            let exec = kinds.exec(0);
-            let mut scratch = self.scratch();
-            let stats = self.query_on_scratch(
-                &mut scratch,
-                queries,
-                exec,
-                cancels.first(),
-                self.pool.threads() == 1,
-            );
-            if stats.cancelled == 0 {
-                let mut out = outs[0].lock();
-                self.drain_exec_results(&mut scratch, &exec, &mut out);
-            }
-            return Ok(());
-        }
-        if self.pool.threads() == 1 {
-            let mut scratch = self.scratch();
-            for i in 0..n_queries {
-                self.batch_query_on_scratch(&mut scratch, queries, kinds, outs, cancels, i);
-            }
-            return Ok(());
-        }
-        let next_query = AtomicUsize::new(0);
-        // A tick smaller than the pool leaves the excess lanes asleep:
-        // per-tick dispatch cost scales with the queries available.
-        self.pool.broadcast_limit(n_queries, |_| {
-            // One scratch per lane for the whole batch: queues, heaps,
-            // context buffers and the DFT executor are reused across
-            // every query this lane claims.
-            let mut scratch = self.scratch();
-            loop {
-                let i = next_query.fetch_add(1, Ordering::Relaxed);
-                if i >= n_queries {
-                    break;
-                }
-                self.batch_query_on_scratch(&mut scratch, queries, kinds, outs, cancels, i);
-            }
-        });
-        Ok(())
     }
 
     /// One batch lane's handling of query `i`: run the serial per-query
@@ -781,60 +543,29 @@ impl<S: Summarization> Index<S> {
         &self,
         scratch: &mut QueryScratch,
         queries: &[f32],
-        kinds: KindSource<'_>,
+        kinds: &[QueryKind],
         outs: &[Mutex<Vec<Neighbor>>],
         cancels: &[CancelToken],
         i: usize,
     ) {
         let n = self.series_len;
-        let exec = kinds.exec(i);
-        let stats = self.query_on_scratch(
-            scratch,
-            &queries[i * n..(i + 1) * n],
-            exec,
-            cancels.get(i),
-            true,
-        );
-        if stats.cancelled != 0 {
-            return;
-        }
-        let mut out = outs[i].lock();
-        self.drain_exec_results(scratch, &exec, &mut out);
-    }
-
-    /// Moves one answered query's results out of the scratch into `out`
-    /// (cleared first, best first): the k-NN/IP set for bounded kinds,
-    /// the sorted hit list for range.
-    fn drain_exec_results(
-        &self,
-        scratch: &mut QueryScratch,
-        exec: &QueryExec<'_>,
-        out: &mut Vec<Neighbor>,
-    ) {
-        out.clear();
-        match exec {
-            QueryExec::Range { .. } => {
-                let hits = scratch.range.get_mut();
-                // Deterministic output independent of worker interleaving.
-                hits.sort_unstable();
-                out.append(hits);
-            }
-            QueryExec::Knn { .. } | QueryExec::Ip { .. } => {
-                scratch.knn.drain_sorted_into(out);
-            }
+        let query = &queries[i * n..(i + 1) * n];
+        let stats = self.query_on_scratch(scratch, query, &kinds[i], cancels.get(i), true);
+        if stats.cancelled == 0 {
+            drain_results(scratch, &kinds[i], &mut outs[i].lock());
         }
     }
 
-    /// Normalizes `query` into the scratch and answers it under `exec`'s
-    /// plan — on the pool when `serial` is false, inline otherwise. The
-    /// results are left in the scratch (`knn` or `range` per the plan);
-    /// if `cancel` fired the snapshot has `cancelled == 1` and the
-    /// scratch contents must be discarded.
+    /// Normalizes `query` into the scratch and answers it as `kind` — on
+    /// the pool when `serial` is false, inline otherwise. The results are
+    /// left in the scratch (`knn` or `range` per the kind); if `cancel`
+    /// fired the snapshot has `cancelled == 1` and the scratch contents
+    /// must be discarded.
     fn query_on_scratch(
         &self,
         scratch: &mut QueryScratch,
         query: &[f32],
-        exec: QueryExec<'_>,
+        kind: &QueryKind,
         cancel: Option<&CancelToken>,
         serial: bool,
     ) -> QueryStats {
@@ -842,30 +573,36 @@ impl<S: Summarization> Index<S> {
             // Expired before any work: skip even the query transform.
             return self.finish_query(&AtomicStats::default(), true);
         }
-        self.prepare_scratch(scratch, query, exec.prep_k());
+        // Range queries don't use the k-NN set; 1 keeps its reset cheap.
+        let k = match kind {
+            QueryKind::Knn { k } | QueryKind::KnnFiltered { k, .. } | QueryKind::Ip { k } => *k,
+            QueryKind::Range { .. } => 1,
+        };
+        self.prepare_scratch(scratch, query, k);
         let s: &QueryScratch = scratch;
         let ctx = QueryContext::borrowed(&self.query_env, &s.values);
         let stats = AtomicStats::default();
-        match exec {
-            QueryExec::Knn { filter, .. } => {
-                let pb = KnnBound { set: &s.knn };
-                self.drive(s, &ctx, &pb, filter, true, serial, &stats, cancel);
+        let knn = KnnBound { set: &s.knn };
+        match kind {
+            QueryKind::Knn { .. } => self.drive(s, &ctx, &knn, None, true, serial, &stats, cancel),
+            QueryKind::KnnFiltered { filter, .. } => {
+                self.drive(s, &ctx, &knn, Some(&**filter), true, serial, &stats, cancel);
             }
-            QueryExec::Range { r_sq, filter } => {
+            QueryKind::Range { r_sq } => {
                 // No approximate seed: the radius is fixed (seeding can't
                 // tighten it), and the hit list has no row dedup, so
                 // scoring the home leaf twice would double-report.
-                let pb = RangeBound { r_sq, hits: &s.range };
-                self.drive(s, &ctx, &pb, filter, false, serial, &stats, cancel);
+                let pb = RangeBound { r_sq: *r_sq, hits: &s.range };
+                self.drive(s, &ctx, &pb, None, false, serial, &stats, cancel);
             }
-            QueryExec::Ip { filter, .. } => {
+            QueryKind::Ip { .. } => {
                 let pb = IpBound { set: &s.knn, n: self.series_len };
-                self.drive(s, &ctx, &pb, filter, true, serial, &stats, cancel);
+                self.drive(s, &ctx, &pb, None, true, serial, &stats, cancel);
             }
         }
         let mut snapshot = self.finish_query(&stats, fired(cancel));
         if snapshot.cancelled == 0 {
-            if let QueryExec::Range { .. } = exec {
+            if let QueryKind::Range { .. } = kind {
                 snapshot.range_hits = s.range.lock().len();
             }
         }
@@ -1020,9 +757,9 @@ impl<S: Summarization> Index<S> {
     /// real distance there. The answer is not guaranteed exact.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch.
+    /// As [`Index::query_into`].
     pub fn approximate_nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
-        self.validate(query, 1)?;
+        validate_batch(query, self.series_len, &[QueryKind::Knn { k: 1 }], None, 1, 0)?;
         let mut scratch = self.scratch();
         self.prepare_scratch(&mut scratch, query, 1);
         let s: &QueryScratch = &scratch;

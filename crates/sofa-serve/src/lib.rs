@@ -12,7 +12,7 @@
 //!   first), answers the whole tick through the index's batch engine,
 //!   and fans results back out through per-ticket slots. Tickets,
 //!   queues, tick buffers and result vectors are all pooled, and the
-//!   tick itself runs on [`sofa_index::Index::knn_batch_into`]'s pooled
+//!   tick itself runs on [`sofa_index::Index::query_batch`]'s pooled
 //!   per-lane scratches — so the warm tick path performs no heap
 //!   allocation.
 //! * [`ShardedIndex`] — N-way row-partitioned sharding with a per-shard
@@ -105,10 +105,10 @@ pub trait TickExec: Send + Sync + 'static {
     /// # Panics
     /// Implementations may panic on malformed input (length not a
     /// multiple of [`TickExec::series_len`], mismatched `kinds`/`outs`
-    /// lengths, or an invalid kind). [`Server`] validates every
-    /// submission before it can reach a tick and contains executor
-    /// panics to the panicking tick, so a panic never takes the server
-    /// down.
+    /// lengths, an invalid kind, or a non-finite value). [`Server`]
+    /// validates every submission before it can reach a tick and
+    /// contains executor panics to the panicking tick, so a panic never
+    /// takes the server down.
     fn run_tick(
         &self,
         queries: &[f32],
@@ -141,7 +141,7 @@ impl<S: Summarization + 'static> TickExec for Index<S> {
         outs: &[ResultSlot],
         cancels: &[CancelToken],
     ) {
-        self.query_batch_into_cancel(queries, kinds, outs, cancels).expect("server-validated tick");
+        self.query_batch(queries, kinds, outs, cancels).expect("server-validated tick");
     }
 }
 
@@ -161,7 +161,7 @@ impl<S: Summarization + 'static> TickExec for ShardedIndex<S> {
         outs: &[ResultSlot],
         cancels: &[CancelToken],
     ) {
-        self.query_tick_cancel(queries, kinds, outs, cancels).expect("server-validated tick");
+        self.query_batch(queries, kinds, outs, cancels).expect("server-validated tick");
     }
 
     fn degraded_answers(&self) -> u64 {

@@ -35,7 +35,7 @@
 use crate::stats::{ServeStats, StatCounters};
 use crate::{CancelToken, ResultSlot, TickExec};
 use sofa_exec::sync::lock;
-use sofa_index::{IndexError, IpNeighbor, Neighbor, QueryKind, RowFilter};
+use sofa_index::{validate_batch, IndexError, IpNeighbor, Neighbor, QueryKind};
 use sofa_summaries::ip_from_score;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -350,25 +350,6 @@ impl<E: TickExec> Server<E> {
         self.query_into(query, QueryKind::Knn { k }, out)
     }
 
-    /// Exact k-NN restricted to the rows `filter` admits, through the
-    /// coalescer — identical to `Index::knn_filtered` on the same
-    /// index. Filtered submissions coalesce into the same ticks as
-    /// every other kind.
-    ///
-    /// # Errors
-    /// As [`Server::knn`]; additionally rejects a filter whose length
-    /// disagrees with the executor's row count (when known).
-    pub fn knn_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: Arc<RowFilter>,
-    ) -> Result<Vec<Neighbor>, ServeError> {
-        let mut out = Vec::new();
-        self.query_into(query, QueryKind::KnnFiltered { k, filter }, &mut out)?;
-        Ok(out)
-    }
-
     /// Every row within squared radius `r_sq` of the query, sorted by
     /// `(dist_sq, row)`, through the coalescer — identical to
     /// `Index::range` on the same index (ties exactly at the radius
@@ -401,26 +382,17 @@ impl<E: TickExec> Server<E> {
             .collect())
     }
 
-    /// The single best row by inner product (see [`Server::knn_ip`]).
-    ///
-    /// # Errors
-    /// As [`Server::knn_ip`]; additionally rejects an empty index.
-    pub fn nn_ip(&self, query: &[f32]) -> Result<IpNeighbor, ServeError> {
-        self.knn_ip(query, 1)?
-            .first()
-            .copied()
-            .ok_or_else(|| ServeError::Index(IndexError::BadQuery("index is empty".into())))
-    }
-
     /// Submits one query of any [`QueryKind`] and blocks for its
     /// answer, in the raw funnel encoding (an `Ip` result carries
     /// scores in `dist_sq`; the typed wrappers convert). This is the
     /// generic submission path every per-kind method goes through —
-    /// mixed kinds coalesce into shared ticks.
+    /// mixed kinds coalesce into shared ticks. A `KnnFiltered` answer is
+    /// identical to `Index::query_into` with the same kind.
     ///
     /// # Errors
-    /// As [`Server::knn`], plus kind-specific validation (zero `k`,
-    /// bad radius, wrong filter length).
+    /// As [`Server::knn`]; admission runs [`sofa_index::validate_batch`]
+    /// (query length, NaN/±Inf values, zero `k`, bad radius, and a filter
+    /// length against the executor's row count when it knows it).
     pub fn query(&self, query: &[f32], kind: QueryKind) -> Result<Vec<Neighbor>, ServeError> {
         let mut out = Vec::new();
         self.query_into(query, kind, &mut out)?;
@@ -439,15 +411,8 @@ impl<E: TickExec> Server<E> {
         out: &mut Vec<Neighbor>,
     ) -> Result<(), ServeError> {
         let inner = &*self.inner;
-        if query.len() != inner.series_len {
-            return Err(IndexError::BadQuery(format!(
-                "query length {} != series length {}",
-                query.len(),
-                inner.series_len
-            ))
-            .into());
-        }
-        Self::validate_kind(&kind, inner.exec.n_rows())?;
+        let kinds = std::slice::from_ref(&kind);
+        validate_batch(query, inner.series_len, kinds, inner.exec.n_rows(), 1, 0)?;
 
         let ticket = lock(&inner.tickets).pop().unwrap_or_else(|| Arc::new(Ticket::new()));
         let now = Instant::now();
@@ -511,43 +476,6 @@ impl<E: TickExec> Server<E> {
             // The wait loop above only exits on a non-Pending outcome.
             Outcome::Pending => unreachable!("woke with a pending ticket"),
         }
-    }
-
-    /// Admission-time kind validation; `n_rows` is the executor's row
-    /// count when it knows it (filter lengths are then checked here
-    /// instead of panicking mid-tick).
-    fn validate_kind(kind: &QueryKind, n_rows: Option<usize>) -> Result<(), ServeError> {
-        match kind {
-            QueryKind::Knn { k } | QueryKind::Ip { k } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()).into());
-                }
-            }
-            QueryKind::KnnFiltered { k, filter } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()).into());
-                }
-                if let Some(rows) = n_rows {
-                    if filter.len() != rows {
-                        return Err(IndexError::BadQuery(format!(
-                            "row filter covers {} rows but the index holds {}",
-                            filter.len(),
-                            rows
-                        ))
-                        .into());
-                    }
-                }
-            }
-            QueryKind::Range { r_sq } => {
-                if !(r_sq.is_finite() && *r_sq >= 0.0) {
-                    return Err(IndexError::BadQuery(format!(
-                        "range radius² must be finite and non-negative, got {r_sq}"
-                    ))
-                    .into());
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Stops accepting submissions. Already-queued tickets are still

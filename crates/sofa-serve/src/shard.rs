@@ -18,7 +18,9 @@
 
 use crate::{CancelToken, ResultSlot};
 use sofa_exec::sync::lock;
-use sofa_index::{ExecPool, Index, IndexError, IndexStats, KnnSet, Neighbor, QueryKind, RowFilter};
+use sofa_index::{
+    validate_batch, ExecPool, Index, IndexError, IndexStats, KnnSet, Neighbor, QueryKind, RowFilter,
+};
 use sofa_summaries::Summarization;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,7 +33,7 @@ pub enum DegradedMode {
     /// Every subsequent tick panics immediately (the default). Behind a
     /// [`crate::Server`] the panic is contained per tick, so submitters
     /// see [`crate::ServeError::Aborted`] rather than wrong answers;
-    /// direct callers of [`ShardedIndex::knn_tick`] observe the panic.
+    /// direct callers of [`ShardedIndex::query_batch`] observe the panic.
     #[default]
     FailFast,
     /// Subsequent ticks skip quarantined shards and answer from the
@@ -227,7 +229,7 @@ impl<S: Summarization> ShardedIndex<S> {
     /// Exact 1-NN across all shards.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch.
+    /// As [`ShardedIndex::query_batch`].
     pub fn nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
         Ok(self.knn(query, 1)?[0])
     }
@@ -237,7 +239,7 @@ impl<S: Summarization> ShardedIndex<S> {
     /// `min(k, n_series)` neighbors with global row ids.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+    /// As [`ShardedIndex::query_batch`].
     pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
         let mut out = Vec::new();
         self.knn_into(query, k, &mut out)?;
@@ -247,7 +249,7 @@ impl<S: Summarization> ShardedIndex<S> {
     /// [`ShardedIndex::knn`] into a caller-owned buffer (cleared first).
     ///
     /// # Errors
-    /// As [`ShardedIndex::knn`].
+    /// As [`ShardedIndex::query_batch`].
     pub fn knn_into(
         &self,
         query: &[f32],
@@ -255,58 +257,10 @@ impl<S: Summarization> ShardedIndex<S> {
         out: &mut Vec<Neighbor>,
     ) -> Result<(), IndexError> {
         let slot = [ResultSlot::new(std::mem::take(out))];
-        let ks = [k];
-        self.knn_tick(query, &ks, &slot)?;
+        self.query_batch(query, &[QueryKind::Knn { k }], &slot, &[])?;
         let [slot] = slot;
         *out = slot.into_inner();
         Ok(())
-    }
-
-    /// Answers one tick of queries (row-major, `ks[i]` neighbors for
-    /// query `i`) into `outs[i]` (cleared first, best first, global row
-    /// ids). The fan-out pool runs one lane per shard, each lane
-    /// driving its shard's batch engine; the per-slot merge then rebases
-    /// and drains through the reusable [`KnnSet`].
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the buffer is not a whole
-    /// number of series, `ks`/`outs` lengths don't match the query
-    /// count, or any `k == 0`.
-    ///
-    /// # Panics
-    /// In [`DegradedMode::FailFast`] (the default), panics when a shard
-    /// panics during the tick or is already quarantined — behind a
-    /// [`crate::Server`] the panic is contained per tick.
-    pub fn knn_tick(
-        &self,
-        queries: &[f32],
-        ks: &[usize],
-        outs: &[ResultSlot],
-    ) -> Result<(), IndexError> {
-        self.knn_tick_cancel(queries, ks, outs, &[])
-    }
-
-    /// [`ShardedIndex::knn_tick`] with per-query cooperative
-    /// cancellation. `cancels` is empty or one token per query; a
-    /// query whose token fires is abandoned by every shard and its
-    /// output slot is left unwritten (the token is latched fired, so
-    /// the caller can tell).
-    ///
-    /// # Errors
-    /// As [`ShardedIndex::knn_tick`], plus [`IndexError::BadQuery`]
-    /// when `cancels` is non-empty but does not match the query count.
-    ///
-    /// # Panics
-    /// As [`ShardedIndex::knn_tick`].
-    pub fn knn_tick_cancel(
-        &self,
-        queries: &[f32],
-        ks: &[usize],
-        outs: &[ResultSlot],
-        cancels: &[CancelToken],
-    ) -> Result<(), IndexError> {
-        let kinds: Vec<QueryKind> = ks.iter().map(|&k| QueryKind::Knn { k }).collect();
-        self.query_tick_cancel(queries, &kinds, outs, cancels)
     }
 
     /// Answers a single query of any [`QueryKind`] across all shards —
@@ -318,11 +272,10 @@ impl<S: Summarization> ShardedIndex<S> {
     /// rebased slice.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or an
-    /// invalid kind (zero `k`, non-finite radius, wrong filter length).
+    /// As [`ShardedIndex::query_batch`].
     pub fn query(&self, query: &[f32], kind: QueryKind) -> Result<Vec<Neighbor>, IndexError> {
         let slot = [ResultSlot::new(Vec::new())];
-        self.query_tick_cancel(query, std::slice::from_ref(&kind), &slot, &[])?;
+        self.query_batch(query, std::slice::from_ref(&kind), &slot, &[])?;
         let [slot] = slot;
         Ok(slot.into_inner())
     }
@@ -346,49 +299,29 @@ impl<S: Summarization> ShardedIndex<S> {
     /// each shard validates and applies a filter over exactly its own
     /// rows.
     ///
+    /// `cancels` is empty or one token per query; a query whose token
+    /// fires is abandoned by every shard and its output slot is left
+    /// unwritten (the token is latched fired, so the caller can tell).
+    ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the buffer is not a whole
-    /// number of series, `kinds`/`outs`/`cancels` lengths don't match
-    /// the query count, or any kind is invalid.
+    /// As [`sofa_index::validate_batch`] over the *global* row space:
+    /// [`IndexError::BadQuery`] on a shape mismatch or an invalid kind,
+    /// [`IndexError::NonFinite`] on a NaN or ±Inf query value.
     ///
     /// # Panics
     /// In [`DegradedMode::FailFast`] (the default), panics when a shard
     /// panics during the tick or is already quarantined — behind a
     /// [`crate::Server`] the panic is contained per tick.
-    pub fn query_tick_cancel(
+    pub fn query_batch(
         &self,
         queries: &[f32],
         kinds: &[QueryKind],
         outs: &[ResultSlot],
         cancels: &[CancelToken],
     ) -> Result<(), IndexError> {
-        let n = self.series_len;
-        if queries.len() % n != 0 {
-            return Err(IndexError::BadQuery(format!(
-                "query buffer of {} floats is not a multiple of series length {}",
-                queries.len(),
-                n
-            )));
-        }
-        let m = queries.len() / n;
-        if kinds.len() != m || outs.len() != m {
-            return Err(IndexError::BadQuery(format!(
-                "{} queries but {} kinds and {} output slots",
-                m,
-                kinds.len(),
-                outs.len()
-            )));
-        }
-        for kind in kinds {
-            self.validate_kind(kind)?;
-        }
-        if !cancels.is_empty() && cancels.len() != m {
-            return Err(IndexError::BadQuery(format!(
-                "{} queries but {} cancellation tokens",
-                m,
-                cancels.len()
-            )));
-        }
+        let n_rows = Some(self.n_series);
+        validate_batch(queries, self.series_len, kinds, n_rows, outs.len(), cancels.len())?;
+        let m = kinds.len();
         if m == 0 {
             return Ok(());
         }
@@ -445,12 +378,7 @@ impl<S: Summarization> ShardedIndex<S> {
                 if !degraded[s].load(Ordering::Acquire)
                     && catch_unwind(AssertUnwindSafe(|| {
                         shards[s]
-                            .query_batch_into_cancel(
-                                queries,
-                                kinds_for_s,
-                                &shard_outs[s][..m],
-                                cancels,
-                            )
+                            .query_batch(queries, kinds_for_s, &shard_outs[s][..m], cancels)
                             .expect("tick inputs were validated");
                     }))
                     .is_err()
@@ -511,38 +439,6 @@ impl<S: Summarization> ShardedIndex<S> {
         self.queries_served.fetch_add(answered, Ordering::Relaxed);
         if any_degraded {
             self.degraded_answers.fetch_add(answered, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Validates one kind against the *global* row space (per-shard
-    /// validation happens again inside each shard, over its slice).
-    fn validate_kind(&self, kind: &QueryKind) -> Result<(), IndexError> {
-        match kind {
-            QueryKind::Knn { k } | QueryKind::Ip { k } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()));
-                }
-            }
-            QueryKind::KnnFiltered { k, filter } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()));
-                }
-                if filter.len() != self.n_series {
-                    return Err(IndexError::BadQuery(format!(
-                        "row filter covers {} rows but the sharded index holds {}",
-                        filter.len(),
-                        self.n_series
-                    )));
-                }
-            }
-            QueryKind::Range { r_sq } => {
-                if !(r_sq.is_finite() && *r_sq >= 0.0) {
-                    return Err(IndexError::BadQuery(format!(
-                        "range radius² must be finite and non-negative, got {r_sq}"
-                    )));
-                }
-            }
         }
         Ok(())
     }
@@ -625,8 +521,9 @@ mod tests {
         let parts = sharded(&data, 2, 1);
         let queries: Vec<f32> = data[..4 * LEN].to_vec();
         let ks = [1usize, 3, 5, 2];
+        let kinds: Vec<QueryKind> = ks.iter().map(|&k| QueryKind::Knn { k }).collect();
         let outs: Vec<ResultSlot> = (0..4).map(|_| ResultSlot::new(Vec::new())).collect();
-        parts.knn_tick(&queries, &ks, &outs).unwrap();
+        parts.query_batch(&queries, &kinds, &outs, &[]).unwrap();
         for (slot, &k) in ks.iter().enumerate() {
             let q = &queries[slot * LEN..(slot + 1) * LEN];
             assert_eq!(*outs[slot].lock(), parts.knn(q, k).unwrap(), "slot {slot}");
@@ -640,7 +537,8 @@ mod tests {
         let q = &data[..LEN];
         parts.knn(q, 2).unwrap();
         let outs: Vec<ResultSlot> = (0..2).map(|_| ResultSlot::new(Vec::new())).collect();
-        parts.knn_tick(&data[..2 * LEN], &[1, 1], &outs).unwrap();
+        let kinds = [QueryKind::Knn { k: 1 }, QueryKind::Knn { k: 1 }];
+        parts.query_batch(&data[..2 * LEN], &kinds, &outs, &[]).unwrap();
         // 3 logical queries total; each shard also saw each of them once.
         assert_eq!(parts.queries_served(), 3);
         for stats in parts.shard_stats() {
@@ -694,7 +592,7 @@ mod tests {
         assert!(matches!(parts.knn(&data[..LEN], 0), Err(IndexError::BadQuery(_))));
         let outs: Vec<ResultSlot> = (0..1).map(|_| ResultSlot::new(Vec::new())).collect();
         assert!(matches!(
-            parts.knn_tick(&data[..2 * LEN], &[1], &outs),
+            parts.query_batch(&data[..2 * LEN], &[QueryKind::Knn { k: 1 }], &outs, &[]),
             Err(IndexError::BadQuery(_))
         ));
     }

@@ -423,10 +423,49 @@ impl Builder {
 macro_rules! forward_index_api {
     ($ty:ident, $summ:ty) => {
         impl $ty {
+            /// Answers one query of any [`QueryKind`] into `out` (cleared
+            /// first, best first, encoded per [`QueryKind`]) and returns
+            /// its work counters — the one single-query entry point the
+            /// conveniences below wrap. A filtered kind masks rejected
+            /// rows *inside* the pruning funnel; a range answer keeps
+            /// ties at the radius. Allocation-free once warm.
+            ///
+            /// # Errors
+            /// [`IndexError::BadQuery`] on a length mismatch or an
+            /// invalid kind; [`IndexError::NonFinite`] on a NaN or ±Inf
+            /// query value.
+            pub fn query_into(
+                &self,
+                query: &[f32],
+                kind: &QueryKind,
+                out: &mut Vec<Neighbor>,
+            ) -> Result<QueryStats, IndexError> {
+                self.inner.query_into(query, kind, out)
+            }
+
+            /// Answers a row-major batch, query `i` as `kinds[i]` into
+            /// `outs[i]`, spread across the worker pool with optional
+            /// per-query cancellation (`cancels` empty or one token per
+            /// query; a cancelled slot is left unwritten) — the engine
+            /// behind [`serve::Server`]'s coalesced ticks.
+            ///
+            /// # Errors
+            /// As [`Self::query_into`], plus shape mismatches between
+            /// `queries`, `kinds`, `outs` and a non-empty `cancels`.
+            pub fn query_batch(
+                &self,
+                queries: &[f32],
+                kinds: &[QueryKind],
+                outs: &[serve::ResultSlot],
+                cancels: &[CancelToken],
+            ) -> Result<(), IndexError> {
+                self.inner.query_batch(queries, kinds, outs, cancels)
+            }
+
             /// Exact 1-NN under z-normalized Euclidean distance.
             ///
             /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch.
+            /// As [`Self::query_into`].
             pub fn nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
                 self.inner.nn(query)
             }
@@ -434,18 +473,16 @@ macro_rules! forward_index_api {
             /// Exact k-NN, best first.
             ///
             /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+            /// As [`Self::query_into`].
             pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
                 self.inner.knn(query, k)
             }
 
-            /// Exact k-NN written into a caller-owned buffer (cleared
-            /// first, best first) — the allocation-free serving form of
-            /// `knn`: with a warm index and a reused buffer, the
-            /// steady-state serial path performs zero heap allocations.
+            /// Exact k-NN into a caller-owned buffer (cleared first, best
+            /// first): [`Self::query_into`] with [`QueryKind::Knn`].
             ///
             /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+            /// As [`Self::query_into`].
             pub fn knn_into(
                 &self,
                 query: &[f32],
@@ -455,45 +492,10 @@ macro_rules! forward_index_api {
                 self.inner.knn_into(query, k, out)
             }
 
-            /// Exact k-NN for a row-major batch of queries, best first
-            /// per query. Queries are spread across the worker pool (one
-            /// serial query per lane at a time), which amortizes dispatch
-            /// and keeps every lane busy — the high-throughput serving
-            /// path.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] if the buffer is not a
-            /// whole number of series or `k == 0`.
-            pub fn knn_batch(
-                &self,
-                queries: &[f32],
-                k: usize,
-            ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-                self.inner.knn_batch(queries, k)
-            }
-
-            /// Exact k-NN for a row-major batch with a per-query `k`,
-            /// written into caller-owned slots (each cleared first, best
-            /// first) — the allocation-free batch form that serving
-            /// ticks run on (see [`serve::Server`]).
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] if the buffer is not a
-            /// whole number of series, `ks`/`outs` lengths don't match
-            /// the query count, or any `k == 0`.
-            pub fn knn_batch_into(
-                &self,
-                queries: &[f32],
-                ks: &[usize],
-                outs: &[serve::ResultSlot],
-            ) -> Result<(), IndexError> {
-                self.inner.knn_batch_into(queries, ks, outs)
-            }
-
             /// Exact k-NN with per-query work counters.
             ///
             /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+            /// As [`Self::query_into`].
             pub fn knn_with_stats(
                 &self,
                 query: &[f32],
@@ -502,121 +504,43 @@ macro_rules! forward_index_api {
                 self.inner.knn_with_stats(query, k)
             }
 
-            /// Exact k-NN restricted to the rows a [`RowFilter`]
-            /// admits — exactly the result of running k-NN over the
-            /// admitted subset alone, evaluated *inside* the pruning
-            /// funnel (rejected rows are masked out of the SIMD
-            /// lower-bound sweep rather than filtered from a larger
-            /// answer afterwards).
+            /// Exact k-NN for a row-major batch of queries, best first
+            /// per query: [`Self::query_batch`] with a uniform `k`.
             ///
             /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch,
-            /// `k == 0`, or a filter whose length is not the row count.
-            pub fn knn_filtered(
+            /// As [`Self::query_batch`].
+            pub fn knn_batch(
                 &self,
-                query: &[f32],
+                queries: &[f32],
                 k: usize,
-                filter: &RowFilter,
-            ) -> Result<Vec<Neighbor>, IndexError> {
-                self.inner.knn_filtered(query, k, filter)
-            }
-
-            /// [`Self::knn_filtered`] plus per-query work counters (see
-            /// [`QueryStats::predicate_lanes_masked`]).
-            ///
-            /// # Errors
-            /// As [`Self::knn_filtered`].
-            pub fn knn_filtered_with_stats(
-                &self,
-                query: &[f32],
-                k: usize,
-                filter: &RowFilter,
-            ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-                self.inner.knn_filtered_with_stats(query, k, filter)
+            ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
+                self.inner.knn_batch(queries, k)
             }
 
             /// Every row within squared distance `r_sq` of the query,
-            /// sorted by `(dist_sq, row)` — the epsilon-range query.
-            /// Rows exactly at the radius are included.
+            /// sorted by `(dist_sq, row)`, ties at the radius included:
+            /// [`Self::query_into`] with [`QueryKind::Range`].
             ///
             /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or
-            /// a non-finite/negative radius.
+            /// As [`Self::query_into`].
             pub fn range(&self, query: &[f32], r_sq: f32) -> Result<Vec<Neighbor>, IndexError> {
                 self.inner.range(query, r_sq)
             }
 
-            /// [`Self::range`] plus per-query work counters (see
-            /// [`QueryStats::range_hits`]).
+            /// Exact top-k rows by inner product with the z-normalized
+            /// query, best (largest dot) first, with exact dot products
+            /// (a [`QueryKind::Ip`] answer carries funnel scores instead).
             ///
             /// # Errors
-            /// As [`Self::range`].
-            pub fn range_with_stats(
-                &self,
-                query: &[f32],
-                r_sq: f32,
-            ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-                self.inner.range_with_stats(query, r_sq)
-            }
-
-            /// [`Self::range`] into a caller-owned buffer (cleared
-            /// first) — the allocation-free serving form.
-            ///
-            /// # Errors
-            /// As [`Self::range`].
-            pub fn range_into(
-                &self,
-                query: &[f32],
-                r_sq: f32,
-                out: &mut Vec<Neighbor>,
-            ) -> Result<(), IndexError> {
-                self.inner.range_into(query, r_sq, out)
-            }
-
-            /// The row with the largest inner product `q·x` against the
-            /// z-normalized query — exact max-inner-product search run
-            /// through the same pruning funnel via the Parseval score
-            /// conversion.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or
-            /// an empty index.
-            pub fn nn_ip(&self, query: &[f32]) -> Result<IpNeighbor, IndexError> {
-                self.inner.nn_ip(query)
-            }
-
-            /// Exact top-k rows by inner product, best (largest dot)
-            /// first (see [`Self::nn_ip`]).
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
+            /// As [`Self::query_into`].
             pub fn knn_ip(&self, query: &[f32], k: usize) -> Result<Vec<IpNeighbor>, IndexError> {
                 self.inner.knn_ip(query, k)
-            }
-
-            /// Mixed-kind batch: each query `i` runs as `kinds[i]`
-            /// (k-NN, filtered k-NN, range, or inner product) into
-            /// `outs[i]`, spread across the worker pool — the engine
-            /// behind [`serve::Server`]'s coalesced mixed ticks.
-            /// Results use the funnel encoding of [`QueryKind`].
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on shape mismatches or
-            /// any invalid kind.
-            pub fn query_batch_into_cancel(
-                &self,
-                queries: &[f32],
-                kinds: &[QueryKind],
-                outs: &[serve::ResultSlot],
-                cancels: &[CancelToken],
-            ) -> Result<(), IndexError> {
-                self.inner.query_batch_into_cancel(queries, kinds, outs, cancels)
             }
 
             /// Fast approximate 1-NN (tree descent only; not exact).
             ///
             /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch.
+            /// As [`Self::query_into`].
             pub fn approximate_nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
                 self.inner.approximate_nn(query)
             }
@@ -627,7 +551,8 @@ macro_rules! forward_index_api {
             /// rows) folds it into a regrown, packed tree.
             ///
             /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch.
+            /// Returns [`IndexError::BadQuery`] on a length mismatch or
+            /// [`IndexError::NonFinite`] on a NaN or ±Inf value.
             pub fn insert(&mut self, series: &[f32]) -> Result<u32, IndexError> {
                 self.inner.insert(series)
             }
@@ -636,7 +561,8 @@ macro_rules! forward_index_api {
             /// new row id.
             ///
             /// # Errors
-            /// Returns [`IndexError::BadDataset`] on an empty/ragged buffer.
+            /// Returns [`IndexError::BadDataset`] on an empty/ragged buffer
+            /// or [`IndexError::NonFinite`] on a NaN or ±Inf value.
             pub fn insert_all(&mut self, buffer: &[f32]) -> Result<u32, IndexError> {
                 self.inner.insert_all(buffer)
             }

@@ -208,11 +208,10 @@ fn check_queries(index: &SofaIndex, model: &Model, rng: &mut Rng, tag: &str) {
 
         // Direct calls.
         assert_bits_eq(&index.knn(raw_q, k).expect("knn"), &want_knn, &format!("{tag} knn"));
-        assert_bits_eq(
-            &index.knn_filtered(raw_q, k, &filter).expect("filtered"),
-            &want_filtered,
-            &format!("{tag} filtered"),
-        );
+        let filtered = QueryKind::KnnFiltered { k, filter };
+        let mut got = Vec::new();
+        index.query_into(raw_q, &filtered, &mut got).expect("filtered");
+        assert_bits_eq(&got, &want_filtered, &format!("{tag} filtered"));
         assert_bits_eq(
             &index.range(raw_q, r_sq).expect("range"),
             &want_range,
@@ -232,7 +231,7 @@ fn check_queries(index: &SofaIndex, model: &Model, rng: &mut Rng, tag: &str) {
         }
         let kinds = [
             QueryKind::Knn { k },
-            QueryKind::KnnFiltered { k, filter: Arc::clone(&filter) },
+            filtered,
             QueryKind::Range { r_sq },
             QueryKind::Ip { k },
             QueryKind::Knn { k },
@@ -242,7 +241,7 @@ fn check_queries(index: &SofaIndex, model: &Model, rng: &mut Rng, tag: &str) {
         let outs: Vec<ResultSlot> = kinds.iter().map(|_| ResultSlot::new(vec![sentinel])).collect();
         let cancels: Vec<CancelToken> = kinds.iter().map(|_| CancelToken::new()).collect();
         cancels[4].cancel();
-        index.query_batch_into_cancel(&batch, &kinds, &outs, &cancels).expect("mixed batch");
+        index.query_batch(&batch, &kinds, &outs, &cancels).expect("mixed batch");
         let want_ip_scores: Vec<Neighbor> = want_ip.iter().map(|(nb, _)| *nb).collect();
         assert_bits_eq(&outs[0].lock(), &want_knn, &format!("{tag} batch knn"));
         assert_bits_eq(&outs[1].lock(), &want_filtered, &format!("{tag} batch filtered"));

@@ -13,10 +13,12 @@
 //! for any candidate it runs to completion, so comparisons are in bits,
 //! not tolerances.
 
+use sofa::serve::ResultSlot;
 use sofa::simd::{dot, euclidean_sq_early_abandon, znormalize};
 use sofa::summaries::ip_score;
 use sofa::{
-    IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig, Server, ShardedSofaIndex, SofaIndex,
+    CancelToken, IndexError, IpNeighbor, Neighbor, QueryKind, QueryStats, RowFilter, ServeConfig,
+    ServeError, Server, ShardedSofaIndex, SofaIndex,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -126,6 +128,18 @@ fn assert_bits_eq(got: &[Neighbor], want: &[Neighbor], tag: &str) {
     }
 }
 
+/// One query of any kind through `query_into`: the answer plus its
+/// work counters.
+fn query(
+    index: &SofaIndex,
+    q: &[f32],
+    kind: &QueryKind,
+) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
+    let mut out = Vec::new();
+    let stats = index.query_into(q, kind, &mut out)?;
+    Ok((out, stats))
+}
+
 fn build(data: &[f32], n: usize, quant: bool) -> SofaIndex {
     SofaIndex::builder()
         .threads(2)
@@ -161,7 +175,8 @@ fn range_matches_brute_force_including_ties_at_radius() {
                 let got = index.range(q, r_sq).expect("range");
                 assert_bits_eq(&got, &oracle.range(q, r_sq), &format!("quant={quant} q{qi} {tag}"));
             }
-            let (hits, stats) = index.range_with_stats(q, tie).expect("range stats");
+            let (hits, stats) =
+                query(&index, q, &QueryKind::Range { r_sq: tie }).expect("range stats");
             assert_eq!(stats.range_hits, hits.len(), "range_hits counter");
             assert!(hits.iter().any(|nb| nb.dist_sq.to_bits() == tie.to_bits()), "tie row kept");
         }
@@ -185,10 +200,11 @@ fn filtered_knn_is_bit_identical_to_post_filtering() {
             ("one", Box::new(|r| r == 421)),
         ];
         for (tag, admit) in &cases {
-            let filter = RowFilter::from_fn(count, admit);
+            let filter = Arc::new(RowFilter::from_fn(count, admit));
+            let kind = QueryKind::KnnFiltered { k: 10, filter };
             for qi in 0..8 {
                 let q = &data[(qi * 101 % count) * n..][..n];
-                let got = index.knn_filtered(q, 10, &filter).expect("filtered");
+                let (got, _) = query(&index, q, &kind).expect("filtered");
                 assert!(got.iter().all(|nb| admit(nb.row as usize)), "rejected row leaked");
                 let want = oracle.knn(q, 10, admit);
                 assert_bits_eq(&got, &want, &format!("quant={quant} q{qi} {tag}"));
@@ -196,8 +212,9 @@ fn filtered_knn_is_bit_identical_to_post_filtering() {
         }
         // The masked kernels actually mask: a selective predicate must
         // reject candidate lanes inside the funnel, not after it.
-        let filter = RowFilter::from_fn(count, |r| r % 10 == 3);
-        let (_, stats) = index.knn_filtered_with_stats(&data[..n], 10, &filter).expect("stats");
+        let filter = Arc::new(RowFilter::from_fn(count, |r| r % 10 == 3));
+        let kind = QueryKind::KnnFiltered { k: 10, filter };
+        let (_, stats) = query(&index, &data[..n], &kind).expect("stats");
         assert!(stats.predicate_lanes_masked > 0, "predicate never masked a lane");
     }
 }
@@ -221,7 +238,7 @@ fn ip_queries_match_brute_force() {
                 assert_eq!(g.row, w.row, "quant={quant} q{qi} rank {rank}");
                 assert_eq!(g.ip.to_bits(), w.ip.to_bits(), "quant={quant} q{qi} rank {rank}: ip");
             }
-            let best = index.nn_ip(q).expect("nn_ip");
+            let best = index.knn_ip(q, 1).expect("top ip")[0];
             assert_eq!(best.row, want[0].row);
             assert_eq!(best.ip.to_bits(), want[0].ip.to_bits());
         }
@@ -237,6 +254,7 @@ fn serve_mixed_ticks_agree_with_direct_calls() {
     let data = dataset(count, n, 19);
     let index = Arc::new(build(&data, n, true));
     let filter = Arc::new(RowFilter::from_fn(count, |r| r % 3 != 1));
+    let filtered = QueryKind::KnnFiltered { k: 5, filter };
     // A small fill target + wait window so concurrent submitters of
     // *different* kinds coalesce into shared ticks.
     let server = Server::new(
@@ -247,7 +265,7 @@ fn serve_mixed_ticks_agree_with_direct_calls() {
         for caller in 0..8 {
             let server = &server;
             let index = &index;
-            let filter = &filter;
+            let filtered = &filtered;
             let data = &data;
             s.spawn(move || {
                 for i in 0..10 {
@@ -258,10 +276,8 @@ fn serve_mixed_ticks_agree_with_direct_calls() {
                             assert_bits_eq(&got, &index.knn(q, 5).expect("knn"), "mixed knn");
                         }
                         1 => {
-                            let got = server
-                                .knn_filtered(q, 5, Arc::clone(filter))
-                                .expect("serve filtered");
-                            let want = index.knn_filtered(q, 5, filter).expect("filtered");
+                            let got = server.query(q, filtered.clone()).expect("serve filtered");
+                            let (want, _) = query(index, q, filtered).expect("filtered");
                             assert_bits_eq(&got, &want, "mixed filtered");
                         }
                         2 => {
@@ -339,8 +355,9 @@ mod adversarial {
             ];
             let q = &data[survivor * n..][..n];
             for (tag, admit) in &patterns {
-                let filter = RowFilter::from_fn(count, admit);
-                let got = index.knn_filtered(q, 5, &filter).expect("filtered");
+                let filter = Arc::new(RowFilter::from_fn(count, admit));
+                let kind = QueryKind::KnnFiltered { k: 5, filter };
+                let (got, _) = query(&index, q, &kind).expect("filtered");
                 prop_assert!(
                     got.iter().all(|nb| admit(nb.row as usize)),
                     "{tag}: rejected row leaked"
@@ -413,8 +430,8 @@ fn sharded_queries_agree_with_unsharded() {
         assert_bits_eq(&knn, &unsharded.knn(q, 7).expect("knn"), "shard knn");
 
         let kf = QueryKind::KnnFiltered { k: 7, filter: Arc::clone(&filter) };
-        let filt = sharded.query(q, kf).expect("sharded filtered");
-        let want = unsharded.knn_filtered(q, 7, &filter).expect("filtered");
+        let filt = sharded.query(q, kf.clone()).expect("sharded filtered");
+        let (want, _) = query(&unsharded, q, &kf).expect("filtered");
         assert_bits_eq(&filt, &want, "shard filtered");
 
         let r_sq = unsharded.nn(q).expect("nn").dist_sq * 6.0;
@@ -435,4 +452,94 @@ fn sharded_queries_agree_with_unsharded() {
             );
         }
     }
+}
+
+/// Every front end — `Index::query_into`, `Index::query_batch`,
+/// `ShardedIndex::query` and `Server::query` — refuses the same
+/// malformed requests with the same error variant through the one
+/// shared validator, and none of them panics. Inserts refuse non-finite
+/// rows without changing the index.
+#[test]
+fn every_front_end_rejects_bad_requests_alike() {
+    let n = 64;
+    let count = 300;
+    let data = dataset(count, n, 29);
+    let index = Arc::new(build(&data, n, true));
+    let sharded: ShardedSofaIndex = SofaIndex::builder()
+        .threads(2)
+        .leaf_capacity(24)
+        .sample_ratio(0.4)
+        .build_sofa_sharded(&data, n, 2)
+        .expect("sharded build");
+    let server = Server::new(Arc::clone(&index), ServeConfig::new());
+    let q = &data[..n];
+    let with = |i: usize, x: f32| {
+        let mut bad = q.to_vec();
+        bad[i] = x;
+        bad
+    };
+    let short_filter = Arc::new(RowFilter::from_fn(count - 1, |_| true));
+    let bad = IndexError::BadQuery(String::new());
+    let cases = [
+        ("wrong length", q[..n - 1].to_vec(), QueryKind::Knn { k: 3 }, &bad),
+        ("k = 0", q.to_vec(), QueryKind::Knn { k: 0 }, &bad),
+        ("ip k = 0", q.to_vec(), QueryKind::Ip { k: 0 }, &bad),
+        ("radius -1", q.to_vec(), QueryKind::Range { r_sq: -1.0 }, &bad),
+        ("radius NaN", q.to_vec(), QueryKind::Range { r_sq: f32::NAN }, &bad),
+        ("radius +Inf", q.to_vec(), QueryKind::Range { r_sq: f32::INFINITY }, &bad),
+        ("filter length", q.to_vec(), QueryKind::KnnFiltered { k: 3, filter: short_filter }, &bad),
+        ("NaN query", with(3, f32::NAN), QueryKind::Knn { k: 3 }, &IndexError::NonFinite),
+        ("-Inf query", with(0, f32::NEG_INFINITY), QueryKind::Ip { k: 2 }, &IndexError::NonFinite),
+    ];
+    for (tag, query, kind, want) in &cases {
+        let mut out = Vec::new();
+        let slot = [ResultSlot::new(Vec::new())];
+        let served = match server.query(query, kind.clone()) {
+            Err(ServeError::Index(e)) => e,
+            other => panic!("{tag}: the server answered {other:?}"),
+        };
+        for (front, got) in [
+            ("Index::query_into", index.query_into(query, kind, &mut out).map(drop)),
+            (
+                "Index::query_batch",
+                index.query_batch(query, std::slice::from_ref(kind), &slot, &[]),
+            ),
+            ("ShardedIndex::query", sharded.query(query, kind.clone()).map(drop)),
+            ("Server::query", Err(served)),
+        ] {
+            let err = got.expect_err(tag);
+            assert_eq!(
+                std::mem::discriminant(&err),
+                std::mem::discriminant(*want),
+                "{tag} via {front}: {err}"
+            );
+        }
+    }
+
+    // Batch shape: `kinds`, `outs` and a non-empty `cancels` must each
+    // match the query count (the server builds its own ticks).
+    let two: Vec<f32> = q.iter().chain(q).copied().collect();
+    let kinds = [QueryKind::Knn { k: 1 }, QueryKind::Knn { k: 1 }];
+    let slots: Vec<ResultSlot> = (0..2).map(|_| ResultSlot::new(Vec::new())).collect();
+    let tokens = [CancelToken::new()];
+    for (tag, kinds, outs, cancels) in [
+        ("kinds", &kinds[..1], &slots[..], &[][..]),
+        ("outs", &kinds[..], &slots[..1], &[][..]),
+        ("cancels", &kinds[..], &slots[..], &tokens[..]),
+    ] {
+        for err in [
+            index.query_batch(&two, kinds, outs, cancels).expect_err(tag),
+            sharded.query_batch(&two, kinds, outs, cancels).expect_err(tag),
+        ] {
+            assert!(matches!(err, IndexError::BadQuery(_)), "{tag}: {err}");
+        }
+    }
+    assert_eq!(server.stats().queries, 0, "no refused request reached a tick");
+
+    let mut growing = build(&data, n, true);
+    let before = growing.n_series();
+    assert_eq!(growing.insert(&with(5, f32::NAN)), Err(IndexError::NonFinite));
+    let pair: Vec<f32> = q.iter().copied().chain(with(7, f32::INFINITY)).collect();
+    assert_eq!(growing.insert_all(&pair), Err(IndexError::NonFinite));
+    assert_eq!(growing.n_series(), before, "a refused insert must not add rows");
 }
