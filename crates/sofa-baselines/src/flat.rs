@@ -44,7 +44,8 @@ impl FlatL2 {
     /// or [`FlatL2::with_pool`] to share threads with other indexes.
     ///
     /// # Panics
-    /// Panics if the buffer is empty or not a whole number of series.
+    /// Panics if the buffer is empty, not a whole number of series, or
+    /// holds a NaN or ±Inf value.
     #[must_use]
     pub fn new(raw_data: &[f32], series_len: usize, threads: usize) -> Self {
         Self::new_owned(raw_data.to_vec(), series_len, threads)
@@ -54,7 +55,8 @@ impl FlatL2 {
     /// place.
     ///
     /// # Panics
-    /// Panics if the buffer is empty or not a whole number of series.
+    /// Panics if the buffer is empty, not a whole number of series, or
+    /// holds a NaN or ±Inf value.
     #[must_use]
     pub fn new_owned(data: Vec<f32>, series_len: usize, threads: usize) -> Self {
         Self::with_pool(data, series_len, ExecPool::shared(threads))
@@ -63,13 +65,15 @@ impl FlatL2 {
     /// Zero-copy ingest on a caller-supplied worker pool.
     ///
     /// # Panics
-    /// Panics if the buffer is empty or not a whole number of series.
+    /// Panics if the buffer is empty, not a whole number of series, or
+    /// holds a NaN or ±Inf value.
     #[must_use]
     pub fn with_pool(mut data: Vec<f32>, series_len: usize, pool: Arc<ExecPool>) -> Self {
         assert!(series_len > 0, "series length must be positive");
         assert!(!data.is_empty(), "dataset must be non-empty");
         assert_eq!(data.len() % series_len, 0, "buffer must hold whole series");
-        znormalize_rows(&mut data, series_len, &pool);
+        znormalize_rows(&mut data, series_len, &pool)
+            .expect("dataset must hold only finite values");
         let norms = data.chunks(series_len).map(|row| dot(row, row)).collect();
         FlatL2 { data, norms, series_len, pool }
     }
@@ -105,9 +109,10 @@ impl FlatL2 {
             return Vec::new();
         }
 
-        // Z-normalize the whole batch once, up front.
+        // Z-normalize the whole batch once, up front, row by row as
+        // `knn_one` does.
         let mut qz = queries.to_vec();
-        znormalize_rows(&mut qz, n, &self.pool);
+        qz.chunks_mut(n).for_each(znormalize);
         let qnorms: Vec<f32> = qz.chunks(n).map(|q| dot(q, q)).collect();
 
         let n_rows = self.n_series();
@@ -312,6 +317,22 @@ mod tests {
             for (qi, q) in queries.chunks(n).enumerate() {
                 assert_eq!(batch[qi], flat.knn_one(q, k), "query {qi} k={k}");
             }
+        }
+    }
+
+    #[test]
+    fn batch_and_single_answer_a_non_finite_query_alike() {
+        // The baselines do not validate queries: a NaN or ±Inf query row
+        // is normalized like any other, on both paths.
+        let n = 64;
+        let data = dataset(300, n, 4);
+        let flat = FlatL2::new(&data, n, 2);
+        let mut queries = dataset(3, n, 700);
+        queries[3] = f32::NAN;
+        queries[n + 5] = f32::INFINITY;
+        let batch = flat.knn_batch(&queries, 3);
+        for (qi, q) in queries.chunks(n).enumerate() {
+            assert_eq!(batch[qi], flat.knn_one(q, 3), "query {qi}");
         }
     }
 

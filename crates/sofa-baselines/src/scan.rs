@@ -30,7 +30,8 @@ impl UcrScan {
     /// `series_len`), creating a private pool with `threads` lanes.
     ///
     /// # Panics
-    /// Panics if the buffer is empty or not a whole number of series.
+    /// Panics if the buffer is empty, not a whole number of series, or
+    /// holds a NaN or ±Inf value.
     #[must_use]
     pub fn new(raw_data: &[f32], series_len: usize, threads: usize) -> Self {
         Self::new_owned(raw_data.to_vec(), series_len, threads)
@@ -40,7 +41,8 @@ impl UcrScan {
     /// place.
     ///
     /// # Panics
-    /// Panics if the buffer is empty or not a whole number of series.
+    /// Panics if the buffer is empty, not a whole number of series, or
+    /// holds a NaN or ±Inf value.
     #[must_use]
     pub fn new_owned(data: Vec<f32>, series_len: usize, threads: usize) -> Self {
         Self::with_pool(data, series_len, ExecPool::shared(threads))
@@ -49,13 +51,15 @@ impl UcrScan {
     /// Zero-copy ingest on a caller-supplied worker pool.
     ///
     /// # Panics
-    /// Panics if the buffer is empty or not a whole number of series.
+    /// Panics if the buffer is empty, not a whole number of series, or
+    /// holds a NaN or ±Inf value.
     #[must_use]
     pub fn with_pool(mut data: Vec<f32>, series_len: usize, pool: Arc<ExecPool>) -> Self {
         assert!(series_len > 0, "series length must be positive");
         assert!(!data.is_empty(), "dataset must be non-empty");
         assert_eq!(data.len() % series_len, 0, "buffer must hold whole series");
-        znormalize_rows(&mut data, series_len, &pool);
+        znormalize_rows(&mut data, series_len, &pool)
+            .expect("dataset must hold only finite values");
         UcrScan { data, series_len, pool }
     }
 

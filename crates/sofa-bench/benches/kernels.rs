@@ -10,7 +10,9 @@
 //! gate: ≥ 3× on an AVX2 host) — plus PR 6's **quantized refine tier**:
 //! the integer `quant_lower_bound` sweep over 1-byte codes against the
 //! exact f32 sweep it short-circuits, with bytes/sec reported so the ~4x
-//! traffic cut shows up directly.
+//! traffic cut shows up directly — and the tier's write side, the
+//! `quant_encode` kernel a delta fold runs over every leaf, per tier in
+//! bytes/sec of `f32` input.
 //!
 //! Force a tier to compare paths on one machine:
 //! `SOFA_FORCE_SCALAR=1` / `SOFA_FORCE_PORTABLE=1`.
@@ -18,7 +20,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use sofa_simd::{
     active_tier, euclidean_sq, euclidean_sq_early_abandon, euclidean_sq_early_abandon_portable,
-    euclidean_sq_portable, euclidean_sq_scalar, quant_lower_bound, BLOCK_LANES,
+    euclidean_sq_portable, euclidean_sq_scalar, quant_encode, quant_encode_scalar,
+    quant_lower_bound, BLOCK_LANES,
 };
 use sofa_summaries::{
     mindist_block, mindist_node, mindist_node_block, mindist_scalar, mindist_simd, NodeBlock,
@@ -305,6 +308,30 @@ fn bench_quant(c: &mut Criterion) {
             acc
         });
     });
+    group.finish();
+
+    // The write side: encoding the same 2000 rows (one leaf of a fold)
+    // on each tier, in bytes/sec of f32 input read.
+    let mut group = c.benchmark_group("quant_encode_2000_rows");
+    group.throughput(Throughput::Bytes((count * n * 4) as u64));
+    let (n_codes, n_errs) = QuantBlock::buffer_lens(count, n);
+    let (mut codes, mut sums) = (vec![0u8; n_codes], vec![0f64; n_errs]);
+    #[allow(clippy::type_complexity)]
+    let tiers: [(&str, fn(&[f32], &[f32], f32, &mut [u8], &mut [f64])); 2] =
+        [("scalar", quant_encode_scalar), ("dispatched", quant_encode)];
+    for (name, encode) in tiers {
+        let name = if name == "dispatched" {
+            format!("{name}[{}]", active_tier().name())
+        } else {
+            name.into()
+        };
+        group.bench_function(name, |bench| {
+            bench.iter(|| {
+                encode(black_box(&data), grid.mins(), grid.scale(), &mut codes, &mut sums);
+                codes[0]
+            });
+        });
+    }
     group.finish();
 }
 

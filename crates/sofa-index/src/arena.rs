@@ -77,16 +77,16 @@ impl<T: Pod> Arena<T> {
     }
 
     /// Turns a mapped arena into an owned one holding the mapped elements
-    /// followed by `tail`. The result is built inside `tail`'s own buffer
-    /// (grown once, then rotated into place), so the copy allocates no
-    /// second buffer and frees none. An owned arena is left as it is;
-    /// `tail` must then be empty.
-    pub(crate) fn promote(&mut self, mut tail: Vec<T>) {
+    /// followed by `tail`: one buffer sized for both, the mapped elements
+    /// copied into it once, then `tail` appended (and freed). An owned
+    /// arena is left as it is; `tail` must then be empty.
+    pub(crate) fn promote(&mut self, tail: Vec<T>) {
         if let Arena::Mapped { .. } = self {
-            let moved = tail.len();
-            tail.extend_from_slice(self.as_slice());
-            tail.rotate_left(moved);
-            *self = Arena::Owned(tail);
+            let mapped = self.as_slice();
+            let mut owned = Vec::with_capacity(mapped.len() + tail.len());
+            owned.extend_from_slice(mapped);
+            owned.extend_from_slice(&tail);
+            *self = Arena::Owned(owned);
         } else {
             debug_assert!(tail.is_empty(), "an owned arena holds its tail already");
         }

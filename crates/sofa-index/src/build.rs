@@ -26,7 +26,7 @@ use sofa_exec::ExecPool;
 use sofa_simd::znormalize;
 use sofa_summaries::Summarization;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,7 +38,9 @@ impl<S: Summarization> Index<S> {
     ///
     /// # Errors
     /// Returns [`IndexError::BadDataset`] for an empty buffer or one that
-    /// is not a whole number of series.
+    /// is not a whole number of series, and [`IndexError::NonFinite`] if
+    /// a value is NaN or ±Inf. (A finite constant row is accepted: it
+    /// normalizes to all zeros.)
     pub fn build(
         summarization: S,
         raw_data: &[f32],
@@ -53,7 +55,9 @@ impl<S: Summarization> Index<S> {
     ///
     /// # Errors
     /// Returns [`IndexError::BadDataset`] for an empty buffer or one that
-    /// is not a whole number of series.
+    /// is not a whole number of series, and [`IndexError::NonFinite`] if
+    /// a value is NaN or ±Inf. (A finite constant row is accepted: it
+    /// normalizes to all zeros.)
     pub fn build_owned(
         summarization: S,
         data: Vec<f32>,
@@ -70,7 +74,9 @@ impl<S: Summarization> Index<S> {
     ///
     /// # Errors
     /// Returns [`IndexError::BadDataset`] for an empty buffer or one that
-    /// is not a whole number of series.
+    /// is not a whole number of series, and [`IndexError::NonFinite`] if
+    /// a value is NaN or ±Inf. (A finite constant row is accepted: it
+    /// normalizes to all zeros.)
     pub fn build_with_pool(
         summarization: S,
         mut data: Vec<f32>,
@@ -100,13 +106,16 @@ impl<S: Summarization> Index<S> {
         }
 
         // --- Phase 1: normalize + summarize (parallel, Figure 7 "Transformation").
+        // Each raw row is checked for NaN/±Inf first: normalization
+        // would otherwise turn it into a "constant" row of zeros.
         let t0 = Instant::now();
         let mut words = vec![0u8; n_series * l];
         let mut keys = vec![0u64; n_series];
         let lanes = pool.threads();
         let rows_per_chunk = n_series.div_ceil(lanes);
+        let non_finite = AtomicBool::new(false);
         pool.run(|scope| {
-            let summarization = &summarization;
+            let (summarization, non_finite) = (&summarization, &non_finite);
             for ((data_chunk, words_chunk), keys_chunk) in data
                 .chunks_mut(rows_per_chunk * n)
                 .zip(words.chunks_mut(rows_per_chunk * l))
@@ -119,6 +128,10 @@ impl<S: Summarization> Index<S> {
                         .zip(words_chunk.chunks_mut(l))
                         .zip(keys_chunk.iter_mut())
                     {
+                        if !series.iter().all(|x| x.is_finite()) {
+                            non_finite.store(true, Ordering::Relaxed);
+                            return;
+                        }
                         znormalize(series);
                         transformer.word_into(series, word);
                         *key = root_key(word, symbol_bits);
@@ -126,6 +139,9 @@ impl<S: Summarization> Index<S> {
                 });
             }
         });
+        if non_finite.into_inner() {
+            return Err(IndexError::NonFinite);
+        }
         let transform_secs = t0.elapsed().as_secs_f64();
 
         // --- Phases 2-4: the forest, grown on an index whose storage
@@ -246,29 +262,21 @@ impl<S: Summarization> Index<S> {
         let quant_on = self.config.quant_refine && n <= crate::node::QUANT_REFINE_MAX_LEN && n > 0;
         if quant_on && self.quant_grid.is_none() {
             // Train the index-wide quantizer once, on a strided row sample
-            // (value ranges converge long before the full arena is seen;
-            // rows outside the sampled ranges clamp and stay sound). The
-            // grid then serves every leaf encode and every query, and
-            // every later fold keeps it.
+            // read in place (value ranges converge long before the full
+            // arena is seen; rows outside the sampled ranges clamp and
+            // stay sound). The grid then serves every leaf encode and
+            // every query, and every later fold keeps it.
             const GRID_SAMPLE_MAX_ROWS: usize = 1 << 16;
-            let total_rows = self.data.len() / n;
-            self.quant_grid = if total_rows <= GRID_SAMPLE_MAX_ROWS {
-                sofa_summaries::QuantGrid::train(&self.data, n)
-            } else {
-                let stride = total_rows.div_ceil(GRID_SAMPLE_MAX_ROWS);
-                let mut sample = Vec::with_capacity(total_rows.div_ceil(stride) * n);
-                for r in (0..total_rows).step_by(stride) {
-                    sample.extend_from_slice(&self.data[r * n..(r + 1) * n]);
-                }
-                sofa_summaries::QuantGrid::train(&sample, n)
-            };
+            let stride = (self.data.len() / n).div_ceil(GRID_SAMPLE_MAX_ROWS).max(1);
+            self.quant_grid =
+                sofa_summaries::QuantGrid::train_rows(self.data.chunks_exact(n).step_by(stride), n);
         }
-        // Word blocks and collect blocks, then the quant codes, all built
-        // on the calling thread. Every fold frees and rebuilds these
-        // blocks, and the allocator hands each thread its own arena:
-        // blocks built on several pool lanes strand the freed blocks of
-        // one fold in arenas the next fold does not draw from, which
-        // varied peak memory by tens of megabytes from run to run.
+        // Word blocks and collect blocks, built on the calling thread.
+        // Every fold frees and rebuilds these blocks, and the allocator
+        // hands each thread its own arena: blocks allocated on several
+        // pool lanes strand the freed blocks of one fold in arenas the
+        // next fold does not draw from, which varied peak memory by tens
+        // of megabytes from run to run.
         let summarization: &dyn Summarization = &self.summarization;
         let collect_levels = self.config.collect_levels;
         for (st, &base) in self.subtrees.iter_mut().zip(&bases) {
@@ -297,15 +305,46 @@ impl<S: Summarization> Index<S> {
         // (every query walks consecutive leaves' word blocks) with cold
         // code pages.
         let Some(grid) = self.quant_grid.as_ref().filter(|_| quant_on) else { return };
-        for node in self.subtrees.iter_mut().flat_map(|st| st.nodes.iter_mut()) {
-            if let NodeKind::Leaf { rows, pack: Some(pack) } = &mut node.kind {
-                let start = pack.start as usize;
-                pack.quant = sofa_summaries::QuantBlock::build(
-                    grid,
-                    &self.data[start * n..(start + rows.len()) * n],
-                    n,
-                );
-            }
+        // The code buffers are allocated here, on the calling thread (see
+        // above); the lanes only fill them, claiming leaves in order.
+        let mut jobs: Vec<EncodeJob> = self
+            .subtrees
+            .iter()
+            .flat_map(|st| st.leaves())
+            .filter_map(|leaf| leaf.pack())
+            .map(|pack| {
+                let rows = pack.block.n();
+                let (n_codes, n_errs) = sofa_summaries::QuantBlock::buffer_lens(rows, n);
+                EncodeJob {
+                    start: pack.start as usize,
+                    rows,
+                    codes: vec![0; n_codes],
+                    errs: vec![0.0; n_errs],
+                    block: None,
+                }
+            })
+            .collect();
+        let queue = parking_lot::Mutex::new(jobs.iter_mut());
+        let data = &self.data[..];
+        self.pool.broadcast(|_| loop {
+            let Some(job) = queue.lock().next() else { break };
+            job.block = sofa_summaries::QuantBlock::encode_into(
+                grid,
+                &data[job.start * n..(job.start + job.rows) * n],
+                n,
+                std::mem::take(&mut job.codes),
+                std::mem::take(&mut job.errs),
+            );
+        });
+        let packs =
+            self.subtrees.iter_mut().flat_map(|st| st.nodes.iter_mut()).filter_map(|node| {
+                match &mut node.kind {
+                    NodeKind::Leaf { pack: Some(pack), .. } => Some(pack),
+                    _ => None,
+                }
+            });
+        for (pack, job) in packs.zip(jobs) {
+            pack.quant = job.block;
         }
     }
 
@@ -316,10 +355,28 @@ impl<S: Summarization> Index<S> {
     }
 }
 
+/// One leaf's quant encode in [`Index::pack_leaves`]: the leaf's storage
+/// rows, the buffers allocated for it on the calling thread, and the
+/// block a pool lane encodes into them.
+struct EncodeJob {
+    start: usize,
+    rows: usize,
+    codes: Vec<u8>,
+    errs: Vec<f64>,
+    block: Option<sofa_summaries::QuantBlock>,
+}
+
+/// How many steps ahead of the cycle walk [`permute_rows`] prefetches.
+const PERMUTE_PREFETCH_STEPS: usize = 4;
+
 /// Applies the slot permutation `dest` (content at slot `old` moves to
 /// slot `dest[old]`) to both arenas in place, walking permutation cycles
 /// with one temporary row each — peak extra memory is one series plus one
 /// word, never a second dataset copy.
+///
+/// The walk jumps between random rows, which the hardware prefetcher
+/// cannot follow; since the cycle is known in advance, the rows
+/// [`PERMUTE_PREFETCH_STEPS`] steps ahead are prefetched explicitly.
 fn permute_rows(data: &mut [f32], words: &mut [u8], n: usize, l: usize, dest: &[u32]) {
     let count = dest.len();
     debug_assert_eq!(data.len(), count * n);
@@ -341,7 +398,18 @@ fn permute_rows(data: &mut [f32], words: &mut [u8], n: usize, l: usize, dest: &[
         // displaced one.
         tmp_series.copy_from_slice(&data[start * n..(start + 1) * n]);
         tmp_word.copy_from_slice(&words[start * l..(start + 1) * l]);
+        let mut ahead = slot;
+        for _ in 0..PERMUTE_PREFETCH_STEPS {
+            sofa_simd::prefetch(&data[ahead * n..(ahead + 1) * n]);
+            sofa_simd::prefetch(&words[ahead * l..(ahead + 1) * l]);
+            ahead = dest[ahead] as usize;
+        }
         while slot != start {
+            // Past the cycle's end this wraps to rows already placed: a
+            // wasted hint, never a wrong one.
+            sofa_simd::prefetch(&data[ahead * n..(ahead + 1) * n]);
+            sofa_simd::prefetch(&words[ahead * l..(ahead + 1) * l]);
+            ahead = dest[ahead] as usize;
             visited[slot] = true;
             for (held, stored) in tmp_series.iter_mut().zip(data[slot * n..].iter_mut()) {
                 std::mem::swap(held, stored);
@@ -688,6 +756,93 @@ mod tests {
                 assert_eq!(x.row, y.row);
             }
         }
+    }
+
+    /// The packed layout a fold leaves behind: slot map, leaf starts and
+    /// each leaf's quant codes and error bits.
+    #[allow(clippy::type_complexity)]
+    fn packed_layout(idx: &Index<ISax>) -> (Vec<u32>, Vec<u32>, Vec<(Vec<u8>, Vec<u64>)>) {
+        let packs: Vec<&crate::node::LeafPack> =
+            idx.subtrees().iter().flat_map(|st| st.leaves()).filter_map(|l| l.pack()).collect();
+        let quant = packs
+            .iter()
+            .map(|p| {
+                let qb = p.quant.as_ref().expect("quant tier on");
+                (qb.codes().to_vec(), qb.errs().iter().map(|e| e.to_bits()).collect())
+            })
+            .collect();
+        (idx.slot_to_row.clone(), packs.iter().map(|p| p.start).collect(), quant)
+    }
+
+    #[test]
+    fn fold_is_identical_on_every_pool_width() {
+        let n = 64;
+        let data = dataset(900, n);
+        let layouts: Vec<_> = [1, 2, 3]
+            .into_iter()
+            .map(|lanes| {
+                let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
+                let cfg = IndexConfig::with_threads(lanes).leaf_capacity(40);
+                let pool = sofa_exec::ExecPool::shared(lanes);
+                let mut idx = Index::build_with_pool(sax, data[..500 * n].to_vec(), cfg, pool)
+                    .expect("build");
+                idx.insert_all(&data[500 * n..]).expect("insert");
+                assert_eq!(idx.stats().folds, 10);
+                let grid = idx.quant_grid.clone().expect("quant grid");
+                // Every leaf's block equals a serial encode of its rows on
+                // this thread, and its codes equal the scalar kernel's.
+                for st in idx.subtrees() {
+                    for leaf in st.leaves() {
+                        let pack = leaf.pack().expect("packed");
+                        let qb = pack.quant.as_ref().expect("quant tier on");
+                        let start = pack.start as usize;
+                        let rows = &idx.data[start * n..(start + leaf.rows().len()) * n];
+                        let serial = sofa_summaries::QuantBlock::build(&grid, rows, n).unwrap();
+                        assert_eq!(qb.codes(), serial.codes());
+                        let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(qb.errs()), bits(serial.errs()));
+                        let mut codes = vec![0u8; qb.codes().len()];
+                        let mut sums = vec![0f64; qb.errs().len()];
+                        sofa_simd::quant_encode_scalar(
+                            rows,
+                            grid.mins(),
+                            grid.scale(),
+                            &mut codes,
+                            &mut sums,
+                        );
+                        assert_eq!(qb.codes(), &codes[..]);
+                    }
+                }
+                packed_layout(&idx)
+            })
+            .collect();
+        assert!(layouts[0] == layouts[1], "2-lane fold diverged from 1-lane");
+        assert!(layouts[0] == layouts[2], "3-lane fold diverged from 1-lane");
+    }
+
+    #[test]
+    fn non_finite_rows_are_rejected_and_constant_rows_zeroed() {
+        let n = 64;
+        let sax = || ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
+        let cfg = || IndexConfig::with_threads(2).leaf_capacity(20);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut data = dataset(100, n);
+            data[77 * n + 5] = bad;
+            assert_eq!(Index::build(sax(), &data, cfg()).err(), Some(IndexError::NonFinite));
+            assert_eq!(
+                Index::build_owned(sax(), data.clone(), cfg()).err(),
+                Some(IndexError::NonFinite)
+            );
+            let pool = sofa_exec::ExecPool::shared(2);
+            assert_eq!(
+                Index::build_with_pool(sax(), data, cfg(), pool).err(),
+                Some(IndexError::NonFinite)
+            );
+        }
+        let mut data = dataset(100, n);
+        data[40 * n..41 * n].fill(3.5);
+        let idx = Index::build(sax(), &data, cfg()).expect("a constant row builds");
+        assert!(idx.series(40).iter().all(|&x| x == 0.0), "a constant row normalizes to zeros");
     }
 
     #[test]

@@ -329,23 +329,43 @@ impl<S: Summarization> Index<S> {
 ///
 /// The one ingest-normalization implementation shared by the facade and
 /// the baselines (the index's own build instead fuses normalization into
-/// its transform phase).
+/// its transform phase). Each row is checked for NaN/±Inf before it is
+/// normalized; a finite constant row becomes all zeros.
+///
+/// # Errors
+/// Returns [`IndexError::NonFinite`] if a value is NaN or ±Inf; the
+/// buffer is then left partly normalized.
 ///
 /// # Panics
 /// Panics if `series_len` is zero or the buffer is not a whole number of
 /// series (a trailing partial row would otherwise be silently mangled).
-pub fn znormalize_rows(data: &mut [f32], series_len: usize, pool: &ExecPool) {
+pub fn znormalize_rows(
+    data: &mut [f32],
+    series_len: usize,
+    pool: &ExecPool,
+) -> Result<(), IndexError> {
     assert!(series_len > 0, "series length must be positive");
     assert_eq!(data.len() % series_len, 0, "buffer must hold whole series");
     let n_rows = data.len() / series_len;
     let rows_per_chunk = n_rows.div_ceil(pool.threads());
+    let non_finite = std::sync::atomic::AtomicBool::new(false);
     pool.run(|scope| {
+        let non_finite = &non_finite;
         for chunk in data.chunks_mut(rows_per_chunk.max(1) * series_len) {
             scope.spawn(move || {
                 for row in chunk.chunks_mut(series_len) {
+                    if !row.iter().all(|x| x.is_finite()) {
+                        non_finite.store(true, std::sync::atomic::Ordering::Relaxed);
+                        return;
+                    }
                     sofa_simd::znormalize(row);
                 }
             });
         }
     });
+    if non_finite.into_inner() {
+        Err(IndexError::NonFinite)
+    } else {
+        Ok(())
+    }
 }

@@ -475,7 +475,7 @@ mod tests {
     fn build(data: &[f32], threads: usize) -> Index<ISax> {
         let pool = ExecPool::shared(threads);
         let mut data = data.to_vec();
-        sofa_index::znormalize_rows(&mut data, LEN, &pool);
+        sofa_index::znormalize_rows(&mut data, LEN, &pool).expect("finite rows");
         let sax = ISax::new(LEN, &SaxConfig { word_len: 8, alphabet: 16 });
         let cfg = IndexConfig::with_threads(threads).leaf_capacity(16);
         Index::build_with_pool(sax, data, cfg, pool).expect("build shard")

@@ -110,6 +110,45 @@ pub(crate) mod x86 {
         unsafe { quant_lower_bound(qcodes, codes, thr, out) }
     }
 
+    /// Safe wrapper over the AVX2 quant encoder. Re-checks the layout
+    /// itself (soundness boundary, as above): `n` rows of `mins.len()`
+    /// values, whole groups of codes and one sum per lane.
+    pub(crate) fn quant_encode_checked(
+        rows: &[f32],
+        n: usize,
+        mins: &[f32],
+        scale: f32,
+        codes: &mut [u8],
+        err_sq: &mut [f64],
+    ) {
+        assert!(supported(), "AVX2 kernels dispatched on a CPU without AVX2+FMA");
+        let len = mins.len();
+        assert!((1..=crate::QUANT_MAX_POSITIONS).contains(&len));
+        assert!(n > 0 && rows.len() == n * len);
+        let groups = n.div_ceil(8);
+        assert_eq!(codes.len(), groups * len * 8);
+        assert_eq!(err_sq.len(), groups * 8);
+        // SAFETY: AVX2 verified above; the asserts bound every gather
+        // index by the rows and every store by the output slices (see the
+        // kernel).
+        unsafe { quant_encode(rows, n, mins, scale, codes, err_sq) }
+    }
+
+    /// Hints the CPU to load every cache line of `data` into all cache
+    /// levels. A prefetch never faults and has no architectural effect.
+    #[inline]
+    pub(crate) fn prefetch<T>(data: &[T]) {
+        let bytes = core::mem::size_of_val(data);
+        let base = data.as_ptr().cast::<i8>();
+        let mut off = 0;
+        while off < bytes {
+            // SAFETY: `off < bytes`, so the pointer stays inside `data`;
+            // SSE (which provides the instruction) is baseline on x86-64.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(off)) };
+            off += 64;
+        }
+    }
+
     /// Pairwise horizontal sum matching `F32x8::horizontal_sum` exactly:
     /// `(a0+a1 + (a2+a3)) + (a4+a5 + (a6+a7))`.
     ///
@@ -393,5 +432,133 @@ pub(crate) mod x86 {
         _mm256_storeu_si256(out.as_mut_ptr().cast(), acc);
         let gt = _mm256_cmpgt_epi32(acc, vthr);
         _mm256_movemask_ps(_mm256_castsi256_ps(gt)) == 0xFF
+    }
+
+    /// Transposes 8 rows of 8 values into 8 columns: `out[j][lane] =
+    /// rows[lane][j]` (24 in-lane and cross-lane shuffles).
+    ///
+    /// # Safety
+    /// Requires AVX2 support.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
+    }
+
+    /// AVX2 quant encoder: one 8-row group at a time, position-major.
+    /// Whole 8-position blocks of the group's 8 rows are loaded and
+    /// transposed so each vector holds one position across the rows;
+    /// the ragged tail is gathered. The codes and the per-lane error
+    /// sums are computed in two 4-lane `f64` halves with the scalar
+    /// tier's operations in its order (separate multiply and add, no
+    /// FMA), so codes and sums are bit-identical to it.
+    ///
+    /// # Safety
+    /// Requires AVX2 support, `n >= 1`, `rows.len() == n * mins.len()`,
+    /// `1 <= mins.len() <= QUANT_MAX_POSITIONS` (gather offsets fit
+    /// `i32`), `codes.len() == n_groups * mins.len() * 8` and
+    /// `err_sq.len() == n_groups * 8`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn quant_encode(
+        rows: &[f32],
+        n: usize,
+        mins: &[f32],
+        scale: f32,
+        codes: &mut [u8],
+        err_sq: &mut [f64],
+    ) {
+        let len = mins.len();
+        let vscale = _mm256_set1_pd(f64::from(scale));
+        let vinv = _mm256_set1_pd(1.0 / f64::from(scale));
+        let half = _mm256_set1_pd(0.5);
+        let zero = _mm256_setzero_pd();
+        let top = _mm256_set1_pd(255.9);
+        for g in 0..n.div_ceil(8) {
+            let first = g * 8;
+            // Row offsets (in values) from the group's first row; pad
+            // lanes of the last group mirror the last row.
+            let offs: [usize; 8] =
+                core::array::from_fn(|lane| ((first + lane).min(n - 1) - first) * len);
+            let base = rows.as_ptr().add(first * len);
+            let out = codes.as_mut_ptr().add(g * len * 8);
+            let (mut acc_lo, mut acc_hi) = (zero, zero);
+            // Position `j` of the 8 rows, as 8 `f32` lanes.
+            let mut encode = |j: usize, x: __m256| {
+                let x_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(x));
+                let x_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x));
+                let min = _mm256_set1_pd(f64::from(mins[j]));
+                // clamp((x - min)·inv + 0.5, 0, 255.9), truncated. `max`
+                // returns its second operand when the first is NaN, so a
+                // NaN value gets code 0, as the scalar `as u8` cast gives.
+                let code = |x: __m256d| {
+                    let t = _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(x, min), vinv), half);
+                    let t = _mm256_min_pd(_mm256_max_pd(t, zero), top);
+                    _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(t)
+                };
+                let (c_lo, c_hi) = (code(x_lo), code(x_hi));
+                // The error is measured against the stored code, so a NaN
+                // value keeps a NaN error.
+                let d_lo = _mm256_sub_pd(x_lo, _mm256_add_pd(min, _mm256_mul_pd(c_lo, vscale)));
+                let d_hi = _mm256_sub_pd(x_hi, _mm256_add_pd(min, _mm256_mul_pd(c_hi, vscale)));
+                acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
+                acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
+                // Codes are integers in [0, 255]: narrow i32 → i16 → u8
+                // without saturating, and store the 8 lanes as one run.
+                let words = _mm_packs_epi32(_mm256_cvttpd_epi32(c_lo), _mm256_cvttpd_epi32(c_hi));
+                _mm_storel_epi64(out.add(j * 8).cast(), _mm_packus_epi16(words, words));
+            };
+            let mut j = 0;
+            while j + 8 <= len {
+                let block: [__m256; 8] =
+                    core::array::from_fn(|lane| _mm256_loadu_ps(base.add(offs[lane] + j)));
+                for (k, x) in transpose8(block).into_iter().enumerate() {
+                    encode(j + k, x);
+                }
+                j += 8;
+            }
+            if j < len {
+                let vidx = _mm256_setr_epi32(
+                    offs[0] as i32,
+                    offs[1] as i32,
+                    offs[2] as i32,
+                    offs[3] as i32,
+                    offs[4] as i32,
+                    offs[5] as i32,
+                    offs[6] as i32,
+                    offs[7] as i32,
+                );
+                while j < len {
+                    encode(j, _mm256_i32gather_ps::<4>(base.add(j), vidx));
+                    j += 1;
+                }
+            }
+            _mm256_storeu_pd(err_sq.as_mut_ptr().add(first), acc_lo);
+            _mm256_storeu_pd(err_sq.as_mut_ptr().add(first + 4), acc_hi);
+        }
     }
 }

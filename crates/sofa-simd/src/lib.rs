@@ -59,8 +59,20 @@ pub use distance::{
     euclidean_sq_scalar, DistanceKernel,
 };
 pub use quant::{
-    quant_lower_bound, quant_lower_bound_masked, quant_lower_bound_portable,
-    quant_lower_bound_scalar, QUANT_MAX_POSITIONS,
+    quant_encode, quant_encode_scalar, quant_lower_bound, quant_lower_bound_masked,
+    quant_lower_bound_portable, quant_lower_bound_scalar, QUANT_MAX_POSITIONS,
 };
 pub use vector::{F32x8, Mask8, LANES};
 pub use znorm::{znormalize, znormalize_into, ZNormStats};
+
+/// Hints the CPU to start loading every cache line of `data`, so a later
+/// read of it finds the lines in cache. Has no other effect: it never
+/// faults, and it is a no-op off x86-64. Worth it only where the hardware
+/// prefetcher cannot guess the address, as in a permutation walk.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    arch::x86::prefetch(data);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}

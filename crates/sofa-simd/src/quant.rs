@@ -34,6 +34,21 @@
 //! All three tiers perform pure integer arithmetic, which is exact in any
 //! evaluation order — the tiers are bit-identical **by construction**, not
 //! merely by matching operation order as the `f32` kernels must.
+//!
+//! ## Encoding
+//!
+//! [`quant_encode`] is the write side: it turns rows of `f32` values into
+//! those codes, in groups of 8 rows stored position-major (each
+//! position's 8 codes one 8-byte run).
+//! A code is `clamp(round((x - min_j) / Δ), 0, 255)` computed in `f64`
+//! (half up, via truncation of `+ 0.5`); NaN stores code 0, ±Inf clamp to
+//! the extreme codes. Alongside the codes it returns each lane's squared
+//! reconstruction error `Σ_j (x_j - (min_j + c_j·Δ))²`, accumulated in
+//! position order per lane with separate multiply and add (no FMA) — so
+//! the codes and sums of every tier are bit-identical. Pad lanes of the
+//! last group mirror the last row. The encoder has two tiers: the scalar
+//! reference, which the scalar and portable dispatch tiers both run, and
+//! the AVX2 kernel.
 
 use crate::dispatch::{active_tier, KernelTier};
 use crate::vector::LANES;
@@ -166,6 +181,88 @@ pub fn quant_lower_bound_masked(
         }
     }
     quant_lower_bound(qcodes, codes, &t, out)
+}
+
+/// Checks the [`quant_encode`] layout and returns the row count.
+fn check_encode_layout(rows: &[f32], mins: &[f32], codes: &[u8], err_sq: &[f64]) -> usize {
+    let len = mins.len();
+    assert!(
+        (1..=QUANT_MAX_POSITIONS).contains(&len),
+        "quant encode over {len} positions (1..={QUANT_MAX_POSITIONS} supported)"
+    );
+    assert!(!rows.is_empty() && rows.len() % len == 0, "rows must be a whole number of series");
+    let n = rows.len() / len;
+    let groups = n.div_ceil(LANES);
+    assert_eq!(codes.len(), groups * len * LANES, "codes must hold 8 lanes per position per group");
+    assert_eq!(err_sq.len(), groups * LANES, "err_sq must hold one sum per lane");
+    n
+}
+
+/// The storage row behind lane `lane` of group `g`: pad lanes of the last
+/// group mirror the last row.
+#[inline]
+fn lane_row(g: usize, lane: usize, n: usize) -> usize {
+    (g * LANES + lane).min(n - 1)
+}
+
+/// Reference scalar tier of [`quant_encode`]: one row at a time.
+///
+/// # Panics
+/// As [`quant_encode`].
+pub fn quant_encode_scalar(
+    rows: &[f32],
+    mins: &[f32],
+    scale: f32,
+    codes: &mut [u8],
+    err_sq: &mut [f64],
+) {
+    let n = check_encode_layout(rows, mins, codes, err_sq);
+    let len = mins.len();
+    let scale = f64::from(scale);
+    let inv = 1.0 / scale;
+    for g in 0..n.div_ceil(LANES) {
+        let base = g * len * LANES;
+        for lane in 0..LANES {
+            let r = lane_row(g, lane, n);
+            let mut sum = 0.0f64;
+            for (j, (&x, &min)) in rows[r * len..(r + 1) * len].iter().zip(mins).enumerate() {
+                let (x, min) = (f64::from(x), f64::from(min));
+                // The `as u8` cast truncates the clamped operand (round
+                // half up) and sends NaN to code 0.
+                let c = ((x - min) * inv + 0.5).clamp(0.0, 255.9) as u8;
+                codes[base + j * LANES + lane] = c;
+                let d = x - (min + f64::from(c) * scale);
+                sum += d * d;
+            }
+            err_sq[g * LANES + lane] = sum;
+        }
+    }
+}
+
+/// Encodes `rows.len() / mins.len()` row-major rows under the affine
+/// quantizer (`mins`, one shared `scale`), dispatched to the fastest
+/// available tier ([`crate::dispatch::active_tier`]); see the module
+/// docs for the arithmetic.
+///
+/// `codes` receives `n_groups * len * 8` bytes, group-major then
+/// position-major (the layout [`quant_lower_bound`] reads), and `err_sq`
+/// one squared reconstruction error per lane (`n_groups * 8` entries).
+/// Every entry of both is written; pad lanes mirror the last row.
+///
+/// # Panics
+/// Panics if `mins` is empty or longer than [`QUANT_MAX_POSITIONS`],
+/// `rows` is empty or not a whole number of rows, or `codes`/`err_sq`
+/// are not exactly the sizes above.
+#[inline]
+pub fn quant_encode(rows: &[f32], mins: &[f32], scale: f32, codes: &mut [u8], err_sq: &mut [f64]) {
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx2 => {
+            let n = check_encode_layout(rows, mins, codes, err_sq);
+            crate::arch::x86::quant_encode_checked(rows, n, mins, scale, codes, err_sq);
+        }
+        _ => quant_encode_scalar(rows, mins, scale, codes, err_sq),
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +445,53 @@ mod tests {
             assert_eq!(a, b, "thr={thr_val}");
             assert_eq!(plain, masked, "thr={thr_val}");
         }
+    }
+
+    type Tier = fn(&[f32], &[f32], f32, &mut [u8], &mut [f64]);
+
+    /// Encodes with every tier, asserting bit-identical codes and sums.
+    fn encode_all_tiers(rows: &[f32], mins: &[f32], scale: f32) -> (Vec<u8>, Vec<f64>) {
+        let groups = (rows.len() / mins.len()).div_ceil(LANES);
+        let run = |f: Tier| {
+            let mut codes = vec![0xAAu8; groups * mins.len() * LANES];
+            let mut sums = vec![-1.0f64; groups * LANES];
+            f(rows, mins, scale, &mut codes, &mut sums);
+            (codes, sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>())
+        };
+        let scalar = run(quant_encode_scalar);
+        assert_eq!(scalar, run(quant_encode), "dispatched tier diverged");
+        (scalar.0, scalar.1.into_iter().map(f64::from_bits).collect())
+    }
+
+    #[test]
+    fn encode_tiers_agree_and_pad_lanes_mirror_the_last_row() {
+        for (n, len) in [(1usize, 1usize), (3, 5), (8, 16), (9, 7), (17, 33)] {
+            let rows: Vec<f32> =
+                (0..n * len).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.071).collect();
+            let mins: Vec<f32> = (0..len).map(|j| -2.0 + j as f32 * 0.01).collect();
+            let (codes, sums) = encode_all_tiers(&rows, &mins, 0.02);
+            let last = (n - 1) % LANES;
+            let g = (n - 1) / LANES;
+            for lane in last + 1..LANES {
+                assert_eq!(sums[g * LANES + lane].to_bits(), sums[g * LANES + last].to_bits());
+                for j in 0..len {
+                    let at = |l: usize| codes[g * len * LANES + j * LANES + l];
+                    assert_eq!(at(lane), at(last), "n={n} pad lane {lane} position {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_clamps_infinities_and_zeroes_nan() {
+        let rows = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, -1e30, 0.5];
+        let (codes, sums) = encode_all_tiers(&rows, &[0.0], 0.01);
+        let lane_codes = &codes[..rows.len()];
+        assert_eq!(lane_codes, &[0, 255, 0, 255, 0, 50]);
+        assert!(sums[0].is_nan(), "a NaN value keeps a NaN error");
+        assert_eq!(sums[1], f64::INFINITY);
+        assert_eq!(sums[2], f64::INFINITY);
+        assert!(sums[5] < 1e-6);
     }
 
     #[test]

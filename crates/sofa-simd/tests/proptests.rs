@@ -12,13 +12,18 @@
 //!   query answers cannot depend on the tier);
 //! * the scalar reference (different summation order) matches within a
 //!   relative tolerance.
+//!
+//! The quant encoder is held to the first standard: the dispatched tier's
+//! codes and error sums are bit-identical to the scalar reference's, NaN
+//! and ±Inf included.
 
 use proptest::prelude::*;
 use sofa_simd::{
     active_tier, block_lower_bound, block_lower_bound_portable, block_lower_bound_scalar,
     euclidean_sq, euclidean_sq_early_abandon, euclidean_sq_early_abandon_portable,
-    euclidean_sq_early_abandon_scalar, euclidean_sq_portable, euclidean_sq_scalar, znormalize,
-    F32x8, KernelTier, Mask8, BLOCK_LANES, BOUNDS_STRIDE,
+    euclidean_sq_early_abandon_scalar, euclidean_sq_portable, euclidean_sq_scalar, quant_encode,
+    quant_encode_scalar, znormalize, F32x8, KernelTier, Mask8, BLOCK_LANES, BOUNDS_STRIDE,
+    QUANT_MAX_POSITIONS,
 };
 
 fn pair_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
@@ -65,6 +70,37 @@ fn block_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>, Vec<f32>)> {
                 (values, weights, bounds)
             })
     })
+}
+
+/// A quant-encode input: 1–17 rows (so the last group has pad lanes) of
+/// a length from 1 to `QUANT_MAX_POSITIONS` (mostly short; one case in
+/// eight near the maximum), per-position minima and a positive scale.
+/// Values mix in-grid ones with ones far outside the grid, ±Inf and NaN.
+#[allow(clippy::type_complexity)]
+fn encode_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>, f32)> {
+    (1usize..=17, 0u8..8, 1usize..=300, 0usize..64, 0.001f32..0.05).prop_flat_map(
+        |(rows, pick, short, near_max, scale)| {
+            let len = if pick == 0 { QUANT_MAX_POSITIONS - near_max } else { short };
+            (
+                proptest::collection::vec((0u8..32, -1.0f32..1.0), rows * len),
+                proptest::collection::vec(-3.0f32..-1.0, len),
+                Just(scale),
+            )
+                .prop_map(|(values, mins, scale)| {
+                    let rows = values
+                        .into_iter()
+                        .map(|(kind, x)| match kind {
+                            0 => f32::NAN,
+                            1 => f32::INFINITY,
+                            2 => f32::NEG_INFINITY,
+                            3..=5 => x * 1e4,
+                            _ => x * 3.0,
+                        })
+                        .collect();
+                    (rows, mins, scale)
+                })
+        },
+    )
 }
 
 proptest! {
@@ -231,5 +267,21 @@ proptest! {
         let v = F32x8::from_slice(&vals);
         let expect: f32 = vals.iter().sum();
         prop_assert!((v.horizontal_sum() - expect).abs() < 1e-2 * expect.abs().max(1.0));
+    }
+
+    /// The scalar reference and the dispatched encode (AVX2 on capable
+    /// x86-64; the scalar loop on the portable tier) write the same codes
+    /// and the same error-sum bits.
+    #[test]
+    #[allow(clippy::type_complexity)]
+    fn quant_encode_tiers_agree_bitwise((rows, mins, scale) in encode_strategy()) {
+        let groups = (rows.len() / mins.len()).div_ceil(BLOCK_LANES);
+        let run = |f: fn(&[f32], &[f32], f32, &mut [u8], &mut [f64])| {
+            let mut codes = vec![0x5Au8; groups * mins.len() * BLOCK_LANES];
+            let mut sums = vec![-1.0f64; groups * BLOCK_LANES];
+            f(&rows, &mins, scale, &mut codes, &mut sums);
+            (codes, sums.iter().map(|e| e.to_bits()).collect::<Vec<_>>())
+        };
+        prop_assert!(run(quant_encode_scalar) == run(quant_encode), "dispatched tier diverged");
     }
 }

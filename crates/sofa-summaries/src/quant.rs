@@ -91,18 +91,37 @@ impl QuantGrid {
     /// the integer kernel's accumulator budget.
     #[must_use]
     pub fn train(data: &[f32], series_len: usize) -> Option<Self> {
-        if series_len == 0 || series_len > sofa_simd::QUANT_MAX_POSITIONS || data.is_empty() {
+        if series_len == 0 {
             return None;
         }
         debug_assert_eq!(data.len() % series_len, 0);
+        Self::train_rows(data.chunks_exact(series_len), series_len)
+    }
+
+    /// [`QuantGrid::train`] over rows read where they lie — a strided
+    /// sample of an arena, say (`arena.chunks_exact(n).step_by(s)`) —
+    /// with no copy of the sample. The grid depends only on the rows and
+    /// their order, so it is bit-identical to training on their
+    /// concatenation.
+    #[must_use]
+    pub fn train_rows<'a>(
+        rows: impl IntoIterator<Item = &'a [f32]>,
+        series_len: usize,
+    ) -> Option<Self> {
+        if series_len == 0 || series_len > sofa_simd::QUANT_MAX_POSITIONS {
+            return None;
+        }
         let mut mins = vec![f32::INFINITY; series_len];
         let mut maxs = vec![f32::NEG_INFINITY; series_len];
-        for row in data.chunks_exact(series_len) {
-            for (j, &x) in row.iter().enumerate() {
-                mins[j] = mins[j].min(x);
-                maxs[j] = maxs[j].max(x);
+        for row in rows {
+            debug_assert_eq!(row.len(), series_len);
+            // Lane-wise min/max over whole rows: vectorizes.
+            for ((lo, hi), &x) in mins.iter_mut().zip(maxs.iter_mut()).zip(row) {
+                *lo = lo.min(x);
+                *hi = hi.max(x);
             }
         }
+        // No rows leave the minima at +inf: rejected below.
         let range = mins.iter().zip(maxs.iter()).map(|(&lo, &hi)| hi - lo).fold(0.0f32, f32::max);
         let scale = range / 255.0;
         // A denormal scale breaks the `f32` fast path: `1/scale`
@@ -250,37 +269,48 @@ impl QuantBlock {
     /// rows.
     #[must_use]
     pub fn build(grid: &QuantGrid, data: &[f32], series_len: usize) -> Option<Self> {
-        if series_len != grid.series_len || data.is_empty() {
+        Self::encode_into(grid, data, series_len, Vec::new(), Vec::new())
+    }
+
+    /// Lengths of the `(codes, errs)` buffers of a block over `n` rows of
+    /// `series_len` values.
+    #[must_use]
+    pub fn buffer_lens(n: usize, series_len: usize) -> (usize, usize) {
+        let groups = n.div_ceil(BLOCK_LANES);
+        (groups * series_len * BLOCK_LANES, groups * BLOCK_LANES)
+    }
+
+    /// [`QuantBlock::build`] into caller-supplied buffers, which become
+    /// the block's. They are resized to [`QuantBlock::buffer_lens`] and
+    /// every entry is overwritten, so buffers allocated at those lengths
+    /// make the encode allocation-free: a caller can allocate on one
+    /// thread and encode on another.
+    ///
+    /// The encode is `sofa_simd::quant_encode`: round half up via
+    /// truncation of the clamped operand, a branch-free code; any code is
+    /// sound because each row's error is measured against the codes
+    /// stored. A NaN value stores code 0 and makes its row's error NaN,
+    /// which disables pruning for that row.
+    #[must_use]
+    pub fn encode_into(
+        grid: &QuantGrid,
+        data: &[f32],
+        series_len: usize,
+        mut codes: Vec<u8>,
+        mut errs: Vec<f64>,
+    ) -> Option<Self> {
+        let n = data.len().checked_div(series_len)?;
+        if series_len != grid.series_len || n == 0 {
             return None;
         }
         debug_assert_eq!(data.len() % series_len, 0);
-        let n = data.len() / series_len;
-        let groups = n.div_ceil(BLOCK_LANES);
-        let mut codes = vec![0u8; groups * series_len * BLOCK_LANES];
-        let mut errs = vec![0f64; groups * BLOCK_LANES];
-        let scale = f64::from(grid.scale);
-        let inv = 1.0 / scale;
-        let mins: Vec<f64> = grid.mins.iter().map(|&m| f64::from(m)).collect();
-        for g in 0..groups {
-            let base = g * series_len * BLOCK_LANES;
-            for lane in 0..BLOCK_LANES {
-                let r = (g * BLOCK_LANES + lane).min(n - 1);
-                let row = &data[r * series_len..(r + 1) * series_len];
-                let mut err_sq = 0.0f64;
-                for ((j, &x), &min) in row.iter().enumerate().zip(&mins) {
-                    // Round half up via truncation (the operand is clamped
-                    // into [0, 255.9] first) — a branch- and call-free
-                    // code; any code is sound because the error below is
-                    // measured against the code stored. A NaN value
-                    // stores code 0 and makes the error NaN, which
-                    // disables pruning for its row.
-                    let c = ((f64::from(x) - min) * inv + 0.5).clamp(0.0, 255.9) as u8;
-                    codes[base + j * BLOCK_LANES + lane] = c;
-                    let d = f64::from(x) - (min + f64::from(c) * scale);
-                    err_sq += d * d;
-                }
-                errs[g * BLOCK_LANES + lane] = err_sq.sqrt() * ERR_INFLATION;
-            }
+        let (n_codes, n_errs) = Self::buffer_lens(n, series_len);
+        codes.resize(n_codes, 0);
+        errs.resize(n_errs, 0.0);
+        let data = &data[..n * series_len];
+        sofa_simd::quant_encode(data, &grid.mins, grid.scale, &mut codes, &mut errs);
+        for e in &mut errs {
+            *e = e.sqrt() * ERR_INFLATION;
         }
         Some(Self { n, series_len, scale: grid.scale, slack: grid.slack, codes, errs })
     }
@@ -459,6 +489,75 @@ mod tests {
         let grid = QuantGrid::train(&data, 64).unwrap();
         assert!(QuantBlock::build(&grid, &data, 32).is_none());
         assert!(QuantBlock::build(&grid, &[], 64).is_none());
+    }
+
+    /// The row-at-a-time `f64` encode that `QuantBlock::build` ran before
+    /// the encode moved into the `sofa-simd` kernel: the stored bytes must
+    /// not change.
+    fn reference_block(grid: &QuantGrid, data: &[f32], n: usize) -> (Vec<u8>, Vec<f64>) {
+        let rows = data.len() / n;
+        let groups = rows.div_ceil(BLOCK_LANES);
+        let mut codes = vec![0u8; groups * n * BLOCK_LANES];
+        let mut errs = vec![0f64; groups * BLOCK_LANES];
+        let scale = f64::from(grid.scale);
+        let inv = 1.0 / scale;
+        let mins: Vec<f64> = grid.mins.iter().map(|&m| f64::from(m)).collect();
+        for g in 0..groups {
+            for lane in 0..BLOCK_LANES {
+                let r = (g * BLOCK_LANES + lane).min(rows - 1);
+                let mut err_sq = 0.0f64;
+                for ((j, &x), &min) in data[r * n..(r + 1) * n].iter().enumerate().zip(&mins) {
+                    let c = ((f64::from(x) - min) * inv + 0.5).clamp(0.0, 255.9) as u8;
+                    codes[g * n * BLOCK_LANES + j * BLOCK_LANES + lane] = c;
+                    let d = f64::from(x) - (min + f64::from(c) * scale);
+                    err_sq += d * d;
+                }
+                errs[g * BLOCK_LANES + lane] = err_sq.sqrt() * ERR_INFLATION;
+            }
+        }
+        (codes, errs)
+    }
+
+    #[test]
+    fn build_keeps_the_reference_bytes() {
+        let n = 40;
+        let grid = QuantGrid::train(&dataset(30, n), n).expect("grid");
+        // In-grid rows, rows far outside it, and non-finite values.
+        let mut data: Vec<f32> = dataset(13, n);
+        data.extend(dataset(6, n).iter().map(|&x| x * 30.0 - 11.0));
+        data[5] = f32::NAN;
+        data[n + 2] = f32::INFINITY;
+        data[3 * n] = f32::NEG_INFINITY;
+        for rows in [1, 7, 8, 9, 19] {
+            let rows_data = &data[..rows * n];
+            let qb = QuantBlock::build(&grid, rows_data, n).expect("block");
+            let (codes, errs) = reference_block(&grid, rows_data, n);
+            assert_eq!(qb.codes(), &codes[..], "rows={rows}");
+            let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(qb.errs()), bits(&errs), "rows={rows}");
+            // Preallocated buffers (even wrongly sized ones) give the same block.
+            let (nc, ne) = QuantBlock::buffer_lens(rows, n);
+            let pre = QuantBlock::encode_into(&grid, rows_data, n, vec![7; nc], vec![1.0; ne + 3])
+                .expect("block");
+            assert_eq!(pre.codes(), qb.codes());
+            assert_eq!(bits(pre.errs()), bits(qb.errs()));
+        }
+    }
+
+    #[test]
+    fn strided_training_matches_a_copied_sample() {
+        let n = 24;
+        let data = dataset(101, n);
+        for stride in [1, 2, 7] {
+            let sample: Vec<f32> =
+                data.chunks_exact(n).step_by(stride).flatten().copied().collect();
+            let copied = QuantGrid::train(&sample, n).expect("grid");
+            let strided =
+                QuantGrid::train_rows(data.chunks_exact(n).step_by(stride), n).expect("grid");
+            assert_eq!(strided.scale().to_bits(), copied.scale().to_bits());
+            assert_eq!(strided.mins(), copied.mins());
+        }
+        assert!(QuantGrid::train_rows(data.chunks_exact(n).take(0), n).is_none());
     }
 
     #[test]

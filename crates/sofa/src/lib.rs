@@ -251,7 +251,8 @@ impl Builder {
     /// [`Builder::build_sofa_owned`] to avoid even that copy.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer,
+    /// [`IndexError::NonFinite`] if a value is NaN or ±Inf.
     pub fn build_sofa(&self, data: &[f32], series_len: usize) -> Result<SofaIndex, IndexError> {
         self.build_sofa_owned(data.to_vec(), series_len)
     }
@@ -263,7 +264,8 @@ impl Builder {
     /// path used to hold two).
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer,
+    /// [`IndexError::NonFinite`] if a value is NaN or ±Inf.
     pub fn build_sofa_owned(
         &self,
         mut data: Vec<f32>,
@@ -279,7 +281,7 @@ impl Builder {
         // index stores (and measures distances between) z-normalized
         // series. Normalization is idempotent, so normalizing in place
         // here and handing the same buffer to the index builder is safe.
-        sofa_index::znormalize_rows(&mut data, series_len, &pool);
+        sofa_index::znormalize_rows(&mut data, series_len, &pool)?;
         let cfg = SfaConfig {
             word_len: self.word_len,
             alphabet: self.alphabet,
@@ -323,7 +325,8 @@ impl Builder {
     /// [`Builder::build_messi_owned`] to avoid even that copy.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer,
+    /// [`IndexError::NonFinite`] if a value is NaN or ±Inf.
     pub fn build_messi(&self, data: &[f32], series_len: usize) -> Result<MessiIndex, IndexError> {
         self.build_messi_owned(data.to_vec(), series_len)
     }
@@ -332,7 +335,8 @@ impl Builder {
     /// `data` (z-normalized in place, no duplicate ever held).
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer,
+    /// [`IndexError::NonFinite`] if a value is NaN or ±Inf.
     pub fn build_messi_owned(
         &self,
         data: Vec<f32>,
@@ -360,7 +364,8 @@ impl Builder {
     ///
     /// # Errors
     /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer
-    /// or `n_shards == 0`.
+    /// or `n_shards == 0`, [`IndexError::NonFinite`] if a value is NaN or
+    /// ±Inf.
     pub fn build_sofa_sharded(
         &self,
         data: &[f32],
@@ -696,7 +701,8 @@ impl SofaIndex {
     /// Builds with the paper's default parameters.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer,
+    /// [`IndexError::NonFinite`] if a value is NaN or ±Inf.
     pub fn build(data: &[f32], series_len: usize) -> Result<Self, IndexError> {
         Builder::default().build_sofa(data, series_len)
     }
@@ -706,7 +712,8 @@ impl SofaIndex {
     /// the dataset.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer,
+    /// [`IndexError::NonFinite`] if a value is NaN or ±Inf.
     pub fn build_owned(data: Vec<f32>, series_len: usize) -> Result<Self, IndexError> {
         Builder::default().build_sofa_owned(data, series_len)
     }
@@ -750,7 +757,8 @@ impl MessiIndex {
     /// Builds with the paper's default parameters.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer,
+    /// [`IndexError::NonFinite`] if a value is NaN or ±Inf.
     pub fn build(data: &[f32], series_len: usize) -> Result<Self, IndexError> {
         Builder::default().build_messi(data, series_len)
     }
@@ -759,7 +767,8 @@ impl MessiIndex {
     /// ownership of `data` and never duplicates the dataset.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer,
+    /// [`IndexError::NonFinite`] if a value is NaN or ±Inf.
     pub fn build_owned(data: Vec<f32>, series_len: usize) -> Result<Self, IndexError> {
         Builder::default().build_messi_owned(data, series_len)
     }
@@ -823,6 +832,26 @@ mod tests {
             let b = messi.nn(q).unwrap();
             assert!((a.dist_sq - b.dist_sq).abs() < 1e-3 * a.dist_sq.max(1.0));
         }
+    }
+
+    #[test]
+    fn builders_reject_non_finite_rows_and_zero_constant_ones() {
+        let n = 64;
+        let b = SofaIndex::builder().leaf_capacity(50).threads(2).sample_ratio(0.5);
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut data = dataset(300, n, 0);
+            data[123 * n + 9] = bad;
+            assert_eq!(b.build_sofa(&data, n).err(), Some(IndexError::NonFinite));
+            assert_eq!(b.build_sofa_owned(data.clone(), n).err(), Some(IndexError::NonFinite));
+            assert_eq!(b.build_messi(&data, n).err(), Some(IndexError::NonFinite));
+            assert_eq!(b.build_messi_owned(data, n).err(), Some(IndexError::NonFinite));
+        }
+        let mut data = dataset(300, n, 0);
+        data[17 * n..18 * n].fill(-2.25);
+        let sofa = b.build_sofa(&data, n).expect("a constant row builds");
+        let messi = b.build_messi(&data, n).expect("a constant row builds");
+        assert!(sofa.inner.series(17).iter().all(|&x| x == 0.0));
+        assert!(messi.inner.series(17).iter().all(|&x| x == 0.0));
     }
 
     #[test]
